@@ -232,12 +232,17 @@ let brute_footprints (c : Gen.case) per_proc =
   Array.iter (fun h -> Hashtbl.iter (fun k () -> Hashtbl.replace union k ()) h) per;
   (Array.map Hashtbl.length per, Hashtbl.length union)
 
-let check_runtime ~pools (c : Gen.case) sim per_proc =
-  let compiled = Exec.compile c.nest in
+(* The interpreted, instrumented run of the schedule's point lists:
+   oracles 4 and 9 both hold other engines to it. *)
+let measure_points ~pools (c : Gen.case) per_proc =
+  Exec.measure
+    (Pools.get pools c.nprocs)
+    (Exec.compile c.nest)
+    (Exec.static_of_assignment per_proc)
+    ~steps:(Exec.steps_of_nest c.nest) ~mode:Measure.Exact
+
+let check_runtime (c : Gen.case) sim per_proc (inst : Exec.instrumented) =
   let steps = Exec.steps_of_nest c.nest in
-  let pool = Pools.get pools c.nprocs in
-  let work = Exec.static_of_assignment per_proc in
-  let inst = Exec.measure pool compiled work ~steps ~mode:Measure.Exact in
   let brute_per, brute_union = brute_footprints c per_proc in
   let sim_per = Sim.footprints sim in
   let mismatch = ref None in
@@ -576,6 +581,101 @@ let check_kernel (c : Gen.case) =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Oracle 9: implicit tiles agree with enumerated iteration points     *)
+(* ------------------------------------------------------------------ *)
+
+(* The kernel paths never list iteration points.  Each shortcut they
+   take instead is held to the enumerating code it replaced: strided
+   footprint runs to the interpreted instrumented pass, the interval
+   test of re-execution safety to enumeration, and box tiles to the
+   grouping of the schedule's point lists by tile. *)
+let check_implicit_tiles ~pools (c : Gen.case) sched by_proc
+    (inst : Exec.instrumented) =
+  let compiled = Exec.compile c.nest in
+  let footprints () =
+    let touched =
+      Kernel.footprints
+        (Pools.get pools c.nprocs)
+        (Kernel.plan compiled)
+        ~boxes:(Kernel.boxes_of_schedule sched)
+        ~mode:Measure.Exact
+    in
+    let per = Array.map Measure.touched_count touched in
+    if per <> inst.Exec.footprints then
+      fail "implicit-tiles-agree"
+        "Kernel.footprints per domain %s but Exec.measure %s" (ivec_str per)
+        (ivec_str inst.Exec.footprints)
+    else if Measure.union_count touched <> inst.Exec.distinct_total then
+      fail "implicit-tiles-agree"
+        "Kernel.footprints union %d but Exec.measure distinct_total %d"
+        (Measure.union_count touched) inst.Exec.distinct_total
+    else None
+  in
+  let reexecution () =
+    (* [reexecution_safe] accepts through the interval test or through
+       enumeration; accepting where enumeration refuses can only be the
+       interval test's doing. *)
+    if
+      Exec.reexecution_safe compiled
+      && not (Exec.reexecution_safe ~enumerate:true compiled)
+    then
+      fail "implicit-tiles-agree"
+        "interval test accepts re-execution but enumeration finds a read \
+         of a written address"
+    else None
+  in
+  let tiles () =
+    let tbl = Hashtbl.create 64 in
+    let rev_keys = ref [] in
+    Array.iteri
+      (fun p pts ->
+        List.iter
+          (fun pt ->
+            let key = (p, Array.to_list (Codegen.tile_id sched pt)) in
+            match Hashtbl.find_opt tbl key with
+            | Some cell -> cell := pt :: !cell
+            | None ->
+                Hashtbl.add tbl key (ref [ pt ]);
+                rev_keys := key :: !rev_keys)
+          pts)
+      by_proc;
+    let want =
+      List.rev_map (fun k -> (fst k, List.rev !(Hashtbl.find tbl k))) !rev_keys
+    in
+    let part = Resilient.tiles_of_schedule sched in
+    let got =
+      List.mapi
+        (fun t tile ->
+          let pts =
+            match tile with
+            | Exec.Box b ->
+                let acc = ref [] in
+                Exec.iter_box b (fun pt -> acc := Array.copy pt :: !acc);
+                List.rev !acc
+            | Exec.Points pts -> Array.to_list pts
+          in
+          (part.Resilient.owners.(t), pts))
+        (Array.to_list part.Resilient.tiles)
+    in
+    if List.length got <> List.length want then
+      fail "implicit-tiles-agree"
+        "tiles_of_schedule gives %d tiles, grouping the point lists %d"
+        (List.length got) (List.length want)
+    else
+      match
+        List.find_opt (fun (_, g, w) -> g <> w)
+          (List.mapi (fun t (g, w) -> (t, g, w)) (List.combine got want))
+      with
+      | Some (t, (go, _), (wo, _)) ->
+          fail "implicit-tiles-agree"
+            "tile %d (owner %d): owner or points differ from the grouped \
+             point lists (owner %d)"
+            t go wo
+      | None -> None
+  in
+  first_some [ footprints; reexecution; tiles ]
+
+(* ------------------------------------------------------------------ *)
 (* Putting it together                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -596,18 +696,22 @@ let apply_drop_fault fault per_proc =
 let check ~fault ~pools (c : Gen.case) =
   try
     let sched = Codegen.make c.nest (Tile.rect c.tile) ~nprocs:c.nprocs in
-    let per_proc = apply_drop_fault fault (Codegen.iterations_by_proc sched) in
+    let by_proc = Codegen.iterations_by_proc sched in
+    let per_proc = apply_drop_fault fault by_proc in
     let sim = lazy (Sim.run_assignment c.nest ~per_proc Sim.default) in
+    let inst = lazy (measure_points ~pools c per_proc) in
     first_some
       [
         (fun () -> check_single c);
         (fun () -> check_cumulative ~fault c);
         (fun () -> check_coverage c sched per_proc);
-        (fun () -> check_runtime ~pools c (Lazy.force sim) per_proc);
+        (fun () -> check_runtime c (Lazy.force sim) per_proc (Lazy.force inst));
         (fun () -> check_relabel c (Lazy.force sim) per_proc);
         (fun () -> check_optimizer c);
         (fun () -> check_resilient c);
         (fun () -> check_kernel c);
+        (fun () ->
+          check_implicit_tiles ~pools c sched by_proc (Lazy.force inst));
       ]
   with e ->
     Some

@@ -21,7 +21,15 @@
       final buffers to the point interpreter run over the same tile
       boxes - including dependent-column nests and accumulate
       references, where traversal reordering would be unsound unless
-      the plan's safety analysis forbids it.
+      the plan's safety analysis forbids it;
+    - {b implicit-tiles-agree}: the kernel paths' shortcuts around point
+      lists match the enumerating code they replace -
+      [Runtime.Kernel.footprints] equals [Runtime.Exec.measure]'s exact
+      per-domain and union footprints, an interval-test acceptance of
+      [Runtime.Exec.reexecution_safe] is confirmed by enumeration, and
+      [Runtime.Resilient.tiles_of_schedule]'s box tiles hold the same
+      owners and points, in the same order, as grouping
+      [Partition.Codegen.iterations_by_proc] by tile.
 
     A fault can be injected to prove the harness detects and shrinks real
     bugs: [Spread_off_by_one] perturbs the class spread/translation vector

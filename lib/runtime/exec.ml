@@ -74,6 +74,8 @@ let address c (r : Reference.t) =
    comparisons are meaningful from the first step. *)
 let init_value i = float_of_int ((i land 63) + 1) *. 0.125
 
+(* Filled by plain loops: [Array.init n init_value] would box a float
+   per element. *)
 let alloc c =
   let n = total_elements c in
   if c.bigarray then begin
@@ -83,7 +85,13 @@ let alloc c =
     done;
     Big a
   end
-  else Flat (Array.init n init_value)
+  else begin
+    let a = Array.create_float n in
+    for i = 0 to n - 1 do
+      Array.unsafe_set a i (init_value i)
+    done;
+    Flat a
+  end
 
 (* Plain summation loops with an unboxed accumulator: the fold/init
    closures the previous versions used boxed every element on the
@@ -177,50 +185,76 @@ let plain_write_addresses c (p : int array) =
   |> List.filter_map (fun (r, accumulate) ->
          if accumulate then None else Some (addr r p))
 
+(* Every point of an inclusive box, lexicographically, through one
+   reused point array: [f] must not retain its argument. *)
+let iter_box (b : (int * int) array) f =
+  let d = Array.length b in
+  let point = Array.map fst b in
+  let rec go k =
+    if k = d then f point
+    else
+      let lo, hi = b.(k) in
+      for v = lo to hi do
+        point.(k) <- v;
+        go (k + 1)
+      done
+  in
+  go 0
+
+let box_volume (b : (int * int) array) =
+  Array.fold_left (fun acc (lo, hi) -> acc * max 0 (hi - lo + 1)) 1 b
+
+(* Inclusive address interval of a compiled reference over a box (so,
+   over the iteration space, over every tile box a fortiori). *)
+let addr_interval (r : cref) (bounds : (int * int) array) =
+  let lo = ref r.c and hi = ref r.c in
+  Array.iteri
+    (fun k (l, h) ->
+      let m = r.m.(k) in
+      if m >= 0 then begin
+        lo := !lo + (m * l);
+        hi := !hi + (m * h)
+      end
+      else begin
+        lo := !lo + (m * h);
+        hi := !hi + (m * l)
+      end)
+    bounds;
+  (!lo, !hi)
+
+let disjoint (a1, b1) (a2, b2) = b1 < a2 || b2 < a1
+
 (* Tiles are idempotent - re-executable after a partial or duplicated
    run - iff no iteration of the Doall body reads an address the body
    writes (self- or cross-iteration) and no write accumulates.  Then
    every write's value is a function of never-written operands only, so
    re-running any subset of iterations in any order reproduces the same
-   final buffer. *)
-let reexecution_safe c =
+   final buffer.  Reads whose address intervals miss every write's
+   settle it at once; otherwise the written addresses are enumerated
+   into a bitset and every read probed against it. *)
+let reexecution_safe ?(enumerate = false) c =
   Array.for_all (fun (_, accumulate) -> not accumulate) c.writes
   && (Array.length c.writes = 0
      ||
      let bounds = Nest.bounds c.nest in
-     let n = Array.length bounds in
-     let point = Array.make n 0 in
-     let written = Hashtbl.create 4096 in
-     let rec scan_writes k =
-       if k = n then
-         Array.iter
-           (fun (r, _) -> Hashtbl.replace written (addr r point) ())
-           c.writes
-       else
-         let lo, hi = bounds.(k) in
-         for v = lo to hi do
-           point.(k) <- v;
-           scan_writes (k + 1)
-         done
-     in
-     scan_writes 0;
+     ((not enumerate)
+     && Array.for_all
+          (fun r ->
+            Array.for_all
+              (fun (w, _) ->
+                disjoint (addr_interval r bounds) (addr_interval w bounds))
+              c.writes)
+          c.reads)
+     ||
+     let written = Measure.touched Measure.Exact ~universe:(total_elements c) in
+     iter_box bounds (fun p ->
+         Array.iter (fun (w, _) -> Measure.touch written (addr w p)) c.writes);
      let clash = ref false in
-     let rec scan_reads k =
-       if !clash then ()
-       else if k = n then
-         Array.iter
-           (fun r -> if Hashtbl.mem written (addr r point) then clash := true)
-           c.reads
-       else
-         let lo, hi = bounds.(k) in
-         for v = lo to hi do
-           if not !clash then begin
-             point.(k) <- v;
-             scan_reads (k + 1)
-           end
-         done
-     in
-     scan_reads 0;
+     iter_box bounds (fun p ->
+         if not !clash then
+           Array.iter
+             (fun r -> if Measure.mem written (addr r p) then clash := true)
+             c.reads);
      not !clash)
 
 (* The instrumented body additionally records every element address in
@@ -231,9 +265,11 @@ let observe_point c touched =
     Array.iter (fun r -> note r p) c.reads;
     Array.iter (fun (r, _) -> note r p) c.writes
 
+type tile = Box of (int * int) array | Points of Ivec.t array
+
 type work =
   | Static of Ivec.t array array
-  | Tiled of { tiles : Ivec.t array array; owners : int array }
+  | Tiled of { tiles : tile array; owners : int array }
   | Dynamic of { points : Ivec.t array; chunk : remaining:int -> int }
   | Steal of { queues : Ivec.t array array; chunk : int }
 
@@ -311,13 +347,17 @@ let one_pass ?(trace = Trace.disabled) pool work ~steps ~visit ~seconds
             for j = 0 to Array.length ids - 1 do
               let t = Array.unsafe_get ids j in
               Trace.begin_span trace p Trace.Tile ~arg:t;
-              let pts = tiles.(t) in
-              for i = 0 to Array.length pts - 1 do
-                visit p (Array.unsafe_get pts i)
-              done;
+              (match tiles.(t) with
+              | Box b ->
+                  iter_box b (visit p);
+                  mine := !mine + box_volume b
+              | Points pts ->
+                  for i = 0 to Array.length pts - 1 do
+                    visit p (Array.unsafe_get pts i)
+                  done;
+                  mine := !mine + Array.length pts);
               Trace.end_span trace p;
-              Trace.incr trace p Trace.Tiles_run;
-              mine := !mine + Array.length pts
+              Trace.incr trace p Trace.Tiles_run
             done
         | Dynamic { points; chunk } ->
             let c = Option.get counter in
@@ -466,18 +506,7 @@ let sequential c ~steps =
   let storage = alloc c in
   let run_body = exec_point c storage in
   let bounds = Nest.bounds c.nest in
-  let n = Array.length bounds in
-  let point = Array.make n 0 in
-  let rec scan k =
-    if k = n then run_body point
-    else
-      let lo, hi = bounds.(k) in
-      for v = lo to hi do
-        point.(k) <- v;
-        scan (k + 1)
-      done
-  in
   for _step = 1 to steps do
-    scan 0
+    iter_box bounds run_body
   done;
   to_float_array storage

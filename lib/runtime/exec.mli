@@ -45,6 +45,10 @@ val writes : compiled -> (cref * bool) array
     whole body semantics: the loads are summed, [+. 1.0] is applied,
     and the result is stored (or added) through every write. *)
 
+val addr : cref -> Ivec.t -> int
+(** [c + m . i]: the flat element address of a compiled reference at an
+    iteration. *)
+
 val address : compiled -> Reference.t -> Ivec.t -> int
 (** The flat element address the compiled reference touches at an
     iteration.  Partial application compiles the reference once, so
@@ -84,23 +88,50 @@ val plain_write_addresses : compiled -> Ivec.t -> int list
     safe targets for an injected corruption: re-executing the iteration
     restores them). *)
 
-val reexecution_safe : compiled -> bool
+val reexecution_safe : ?enumerate:bool -> compiled -> bool
 (** Whether tiles of this nest are idempotent: no iteration of the Doall
     body reads an address the body writes, and no write accumulates.
     Exactly then a partially executed or duplicated tile can be re-run
     (by any domain, any number of times) without changing the final
-    buffer - the precondition for tile-level crash recovery. *)
+    buffer - the precondition for tile-level crash recovery.  Accepted
+    at once when every read's {!addr_interval} over the iteration space
+    is {!disjoint} from every write's; otherwise (or always, with
+    [enumerate]) decided by enumerating the written addresses into an
+    exact bitset. *)
+
+(** {2 Boxes and tiles} *)
+
+val iter_box : (int * int) array -> (Ivec.t -> unit) -> unit
+(** Visit every point of an inclusive per-axis box in lexicographic
+    order, through one point array reused across calls of [f] ([f] must
+    not retain it).  An empty box ([hi < lo] on some axis) visits
+    nothing. *)
+
+val box_volume : (int * int) array -> int
+
+val addr_interval : cref -> (int * int) array -> int * int
+(** Inclusive range of the addresses a reference touches over a box:
+    exact bounds of [c + m . i], so every address the box produces lies
+    inside. *)
+
+val disjoint : int * int -> int * int -> bool
+
+type tile =
+  | Box of (int * int) array
+      (** every point of an inclusive per-axis box, lexicographically:
+          a rectangular tile held as its bounds, never as points *)
+  | Points of Ivec.t array  (** a ragged tile's points, in order *)
 
 type work =
   | Static of Ivec.t array array
       (** per-domain iteration arrays, fixed at compile time (the
           schedules of {!Partition.Codegen} / {!Partition.Scheduling}) *)
-  | Tiled of { tiles : Ivec.t array array; owners : int array }
+  | Tiled of { tiles : tile array; owners : int array }
       (** the same compile-time partition with tile boundaries kept:
-          tile id -> points, tile id -> owning domain (the shape of
-          {!Resilient.partitioned}).  Executes exactly like [Static]
-          work over the concatenation of each owner's tiles, but a
-          traced run records one claim-to-completion span per tile *)
+          tile id -> tile, tile id -> owning domain (the shape of
+          {!Resilient.partitioned}).  Executes like [Static] work over
+          the concatenation of each owner's tiles, but a traced run
+          records one claim-to-completion span per tile *)
   | Dynamic of { points : Ivec.t array; chunk : remaining:int -> int }
       (** self-scheduling over the lexicographic iteration stream via a
           shared {!Pool.Counter}: chunk [fun ~remaining:_ -> 1] is

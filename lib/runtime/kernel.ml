@@ -13,6 +13,7 @@ let shape_name = function
 type plan = {
   compiled : Exec.compiled;
   nesting : int;
+  bounds : (int * int) array;  (** the iteration space *)
   reads : Exec.cref array;
   writes : (Exec.cref * bool) array;
   order : int array;  (** traversal order, outermost first *)
@@ -28,26 +29,6 @@ let shape p = shape_name p.shape
 (* ------------------------------------------------------------------ *)
 (* Traversal-order safety analysis                                     *)
 (* ------------------------------------------------------------------ *)
-
-(* Inclusive address interval of a compiled reference over the whole
-   iteration space (so over any clipped tile box a fortiori). *)
-let addr_interval (r : Exec.cref) (bounds : (int * int) array) =
-  let lo = ref r.Exec.c and hi = ref r.Exec.c in
-  Array.iteri
-    (fun k (l, h) ->
-      let m = r.Exec.m.(k) in
-      if m >= 0 then begin
-        lo := !lo + (m * l);
-        hi := !hi + (m * h)
-      end
-      else begin
-        lo := !lo + (m * h);
-        hi := !hi + (m * l)
-      end)
-    bounds;
-  (!lo, !hi)
-
-let disjoint (a1, b1) (a2, b2) = b1 < a2 || b2 < a1
 
 let same_map (r : Exec.cref) (w : Exec.cref) =
   r.Exec.c = w.Exec.c && r.Exec.m = w.Exec.m
@@ -99,7 +80,9 @@ let analyze_reorderable reads writes bounds extents =
          Array.for_all
            (fun ((w : Exec.cref), _) ->
              same_map r w
-             || disjoint (addr_interval r bounds) (addr_interval w bounds))
+             || Exec.disjoint
+                  (Exec.addr_interval r bounds)
+                  (Exec.addr_interval w bounds))
            writes)
        reads
   && Array.for_all
@@ -107,7 +90,9 @@ let analyze_reorderable reads writes bounds extents =
          Array.for_all
            (fun ((w2 : Exec.cref), _) ->
              w1 == w2 || same_map w1 w2
-             || disjoint (addr_interval w1 bounds) (addr_interval w2 bounds))
+             || Exec.disjoint
+                  (Exec.addr_interval w1 bounds)
+                  (Exec.addr_interval w2 bounds))
            writes)
        writes
 
@@ -177,7 +162,7 @@ let plan ?(force_generic = false) ?order compiled =
     | None -> choose_order ~nesting ~reorderable reads writes extents
   in
   let shape = if force_generic then Generic else detect_shape reads writes in
-  { compiled; nesting; reads; writes; order; reorderable; shape }
+  { compiled; nesting; bounds; reads; writes; order; reorderable; shape }
 
 (* Per-axis address delta of each body reference, in original axis
    order: exactly the [m] vector of the compiled reference. *)
@@ -205,8 +190,7 @@ let strides p =
 (* Box execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let box_volume (b : box) =
-  Array.fold_left (fun acc (lo, hi) -> acc * max 0 (hi - lo + 1)) 1 b
+let box_volume = Exec.box_volume
 
 (* The specialized inner loops.  Every variant advances the references'
    running addresses by their innermost-axis deltas - no per-iteration
@@ -544,11 +528,20 @@ let inner_generic_big data ~n ~nr ~nw ~(rd : int array) ~(wd : int array)
     done
   done
 
+(* Box loops are unchecked: a non-empty box reaching outside the
+   iteration space would address outside the operand buffer. *)
+let check_in_space p (b : box) =
+  if
+    box_volume b > 0
+    && Array.exists2 (fun (lo, hi) (blo, bhi) -> lo < blo || hi > bhi) b p.bounds
+  then invalid_arg "Kernel: box outside the iteration space"
+
 let run_box p storage (b : box) =
   let d = p.nesting in
   if Array.length b <> d then invalid_arg "Kernel.run_box: box arity mismatch";
   if Array.exists (fun (lo, hi) -> hi < lo) b then ()
   else begin
+    check_in_space p b;
     let ord = p.order in
     let ext = Array.map (fun k -> let lo, hi = b.(k) in hi - lo + 1) ord in
     let nr = Array.length p.reads and nw = Array.length p.writes in
@@ -702,7 +695,8 @@ let check_boxes pool p boxes =
   Array.iter
     (Array.iter (fun (b : box) ->
          if Array.length b <> p.nesting then
-           invalid_arg "Kernel: box arity mismatch"))
+           invalid_arg "Kernel: box arity mismatch";
+         check_in_space p b))
     boxes
 
 let one_pass ?(trace = Trace.disabled) pool p storage ~boxes ~steps ~seconds
@@ -740,6 +734,7 @@ let time ?trace pool p ~boxes ~steps ~repeats =
   let best_wall = ref infinity in
   let best_seconds = Array.make nprocs 0.0 in
   let best_iterations = Array.make nprocs 0 in
+  let best_checksum = ref 0.0 in
   for _rep = 1 to repeats do
     let storage = Exec.alloc p.compiled in
     let seconds = Array.make nprocs 0.0 in
@@ -747,20 +742,53 @@ let time ?trace pool p ~boxes ~steps ~repeats =
     let t0 = Mclock.now () in
     one_pass ?trace pool p storage ~boxes ~steps ~seconds ~iterations;
     let wall = Mclock.now () -. t0 in
-    ignore (Sys.opaque_identity (Exec.checksum storage));
+    let checksum = Exec.checksum storage in
     if wall < !best_wall then begin
       best_wall := wall;
       Array.blit seconds 0 best_seconds 0 nprocs;
-      Array.blit iterations 0 best_iterations 0 nprocs
+      Array.blit iterations 0 best_iterations 0 nprocs;
+      best_checksum := checksum
     end
   done;
-  (!best_wall, best_seconds, best_iterations)
+  (!best_wall, best_seconds, best_iterations, !best_checksum)
+
+(* Every address one reference produces over a box, walked with the
+   same running-address bumps as {!run_box} (any order will do for a
+   set). *)
+let touch_box touched (r : Exec.cref) (b : box) =
+  let d = Array.length b in
+  let m = r.Exec.m in
+  let rec go k a =
+    if k = d then Measure.touch touched a
+    else begin
+      let lo, hi = b.(k) in
+      let a = ref (a + (m.(k) * lo)) in
+      for _ = lo to hi do
+        go (k + 1) !a;
+        a := !a + m.(k)
+      done
+    end
+  in
+  go 0 r.Exec.c
+
+let footprints pool p ~boxes ~mode =
+  check_boxes pool p boxes;
+  let universe = Exec.total_elements p.compiled in
+  let touched =
+    Array.init (Pool.size pool) (fun _ -> Measure.touched mode ~universe)
+  in
+  Pool.run pool (fun me _ ->
+      let set = touched.(me) in
+      Array.iter
+        (fun b ->
+          Array.iter (fun r -> touch_box set r b) p.reads;
+          Array.iter (fun (w, _) -> touch_box set w b) p.writes)
+        boxes.(me));
+  touched
 
 let sequential p ~steps =
   let storage = Exec.alloc p.compiled in
-  let bounds = Nest.bounds (Exec.nest p.compiled) in
-  let whole = Array.map (fun (lo, hi) -> (lo, hi)) bounds in
   for _step = 1 to steps do
-    run_box p storage whole
+    run_box p storage p.bounds
   done;
   storage

@@ -65,7 +65,8 @@ val box_volume : box -> int
 val run_box : plan -> Exec.storage -> box -> unit
 (** Execute every iteration of the box once (one parallel step's worth
     of one tile).  Degenerate axes (extent 1) are fine; an empty box
-    ([hi < lo] somewhere) is a no-op. *)
+    ([hi < lo] somewhere) is a no-op.  Raises [Invalid_argument] for a
+    non-empty box reaching outside the nest's iteration space. *)
 
 val boxes_of_schedule : Partition.Codegen.schedule -> box array array
 (** The schedule's clipped tile boxes grouped by owning processor, each
@@ -96,10 +97,19 @@ val time :
   boxes:box array array ->
   steps:int ->
   repeats:int ->
-  float * float array * int array
-(** [(wall, per_domain_seconds, per_domain_iterations)] of the fastest
-    of [repeats] runs, each on fresh operands - the kernel-path
-    analogue of {!Exec.time}. *)
+  float * float array * int array * float
+(** [(wall, per_domain_seconds, per_domain_iterations, checksum)] of
+    the fastest of [repeats] runs, each on fresh operands - the
+    kernel-path analogue of {!Exec.time}.  [checksum] is
+    {!Exec.checksum} of that run's final operands. *)
+
+val footprints :
+  Pool.t -> plan -> boxes:box array array -> mode:Measure.mode -> Measure.touched array
+(** Per-domain footprint sets without executing the body: domain [p]
+    adds the strided address run of every reference over each box of
+    [boxes.(p)] to its own set.  Addresses do not depend on the outer
+    sequential step, so one pass yields exactly the sets an
+    instrumented all-steps execution ({!Exec.measure}) collects. *)
 
 val sequential : plan -> steps:int -> Exec.storage
 (** The whole iteration space as one box on the calling domain, [steps]

@@ -62,6 +62,15 @@ let touch t addr =
         set_bit bits (h mod m)
       done
 
+let get_bit bytes i =
+  Char.code (Bytes.unsafe_get bytes (pad + (i lsr 3))) land (1 lsl (i land 7))
+  <> 0
+
+let mem t addr =
+  match t with
+  | Bitset { bits; _ } -> get_bit bits addr
+  | Filter _ -> invalid_arg "Measure.mem: not an exact set"
+
 let popcount_byte = Array.init 256 (fun b ->
     let rec go b acc = if b = 0 then acc else go (b lsr 1) (acc + (b land 1)) in
     go b 0)

@@ -26,6 +26,10 @@ type touched
 
 val touched : mode -> universe:int -> touched
 val touch : touched -> int -> unit
+val mem : touched -> int -> bool
+(** Whether an address was touched.  Exact sets only ([Invalid_argument]
+    for a Bloom filter). *)
+
 val touched_count : touched -> int
 val is_exact : touched -> bool
 

@@ -110,7 +110,7 @@ let pp ppf t =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
+let json_escape s =
   let b = Buffer.create (String.length s) in
   String.iter
     (fun c ->
@@ -126,7 +126,7 @@ let escape s =
     s;
   Buffer.contents b
 
-let str s = "\"" ^ escape s ^ "\""
+let str s = "\"" ^ json_escape s ^ "\""
 
 (* JSON has no nan/inf literals; a failed attempt's wall time can be
    nan (a watchdog race losing both timestamps) and must not poison the

@@ -74,3 +74,10 @@ val to_json : t -> string
 (** Machine-readable rendition for CI artifacts.  Always strictly
     valid JSON: non-finite wall times and checksums serialize as
     [null], and every control character in strings is escaped. *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal (no surrounding quotes): quotes,
+    backslashes and every control character escaped. *)
+
+val json_float : float -> string
+(** A JSON number ([%.6g]), or [null] for nan and infinities. *)

@@ -41,17 +41,14 @@ type config = { policy : policy; deadline_ms : int; stall_poll_ms : int }
 let default_config =
   { policy = default_retry; deadline_ms = 1000; stall_poll_ms = 5 }
 
-type partitioned = {
-  nprocs : int;
-  tiles : Ivec.t array array;
-  owners : int array;
-  boxes : (int * int) array option array;
-}
+type tile = Exec.tile = Box of Kernel.box | Points of Ivec.t array
+
+type partitioned = { nprocs : int; tiles : tile array; owners : int array }
 
 (* A tile's points arrive in lexicographic order; when they are exactly
    a full rectangular box (volume = count, all points distinct and
-   inside the bounding box), {!Kernel.run_box} over that box visits the
-   same iterations - the precondition for the kernel fast path. *)
+   inside the bounding box), scanning that box visits the same
+   iterations in the same order. *)
 let bounding_box (pts : Ivec.t array) =
   if Array.length pts = 0 then None
   else begin
@@ -73,34 +70,101 @@ let bounding_box (pts : Ivec.t array) =
     else None
   end
 
+(* Rectangular tiles come straight from their clipped bounds; only
+   parallelepiped tiles are found by grouping the enumerated points.
+   Either way tiles are ordered by owner, then by first (lexicographic)
+   point. *)
 let tiles_of_schedule sched =
   let open Partition in
   let nprocs = sched.Codegen.nprocs in
-  let per_proc = Codegen.iterations_by_proc sched in
-  let tbl = Hashtbl.create 64 in
-  let rev_keys = ref [] in
-  Array.iteri
-    (fun p pts ->
-      List.iter
-        (fun pt ->
-          let key = (p, Array.to_list (Codegen.tile_id sched pt)) in
-          match Hashtbl.find_opt tbl key with
-          | Some cell -> cell := pt :: !cell
-          | None ->
-              Hashtbl.add tbl key (ref [ pt ]);
-              rev_keys := key :: !rev_keys)
-        pts)
-    per_proc;
-  let keys = Array.of_list (List.rev !rev_keys) in
-  let tiles =
-    Array.map (fun k -> Array.of_list (List.rev !(Hashtbl.find tbl k))) keys
+  match sched.Codegen.tile with
+  | Tile.Rect _ ->
+      let owned =
+        Array.to_list (Kernel.boxes_of_schedule sched)
+        |> List.mapi (fun p boxes ->
+               Array.to_list boxes
+               |> List.filter (fun b -> Kernel.box_volume b > 0)
+               |> List.map (fun b -> (p, Box b)))
+        |> List.concat |> Array.of_list
+      in
+      { nprocs; tiles = Array.map snd owned; owners = Array.map fst owned }
+  | Tile.Pped _ ->
+      let per_proc = Codegen.iterations_by_proc sched in
+      let tbl = Hashtbl.create 64 in
+      let rev_keys = ref [] in
+      Array.iteri
+        (fun p pts ->
+          List.iter
+            (fun pt ->
+              let key = (p, Array.to_list (Codegen.tile_id sched pt)) in
+              match Hashtbl.find_opt tbl key with
+              | Some cell -> cell := pt :: !cell
+              | None ->
+                  Hashtbl.add tbl key (ref [ pt ]);
+                  rev_keys := key :: !rev_keys)
+            pts)
+        per_proc;
+      let keys = Array.of_list (List.rev !rev_keys) in
+      let tile k =
+        let pts = Array.of_list (List.rev !(Hashtbl.find tbl k)) in
+        match bounding_box pts with Some b -> Box b | None -> Points pts
+      in
+      { nprocs; tiles = Array.map tile keys; owners = Array.map fst keys }
+
+let iter_tile tile f =
+  match tile with Box b -> Exec.iter_box b f | Points pts -> Array.iter f pts
+
+(* Whether two different tiles accumulate into one address.  Such
+   tiles, run concurrently, race their read-modify-writes and lose
+   updates, so the executor runs them one at a time.  Address hulls
+   that miss each other settle it at once (the common case: none of a
+   tile's accumulates can reach another's); otherwise every
+   accumulated address is stamped with the first tile reaching it. *)
+let accumulates_contend compiled tiles =
+  let accs =
+    Array.to_list (Exec.writes compiled)
+    |> List.filter_map (fun (w, accumulate) -> if accumulate then Some w else None)
   in
-  {
-    nprocs;
+  let widen (lo, hi) (l, h) = (min lo l, max hi h) in
+  let hull = function
+    | Box b ->
+        List.fold_left
+          (fun acc w -> widen acc (Exec.addr_interval w b))
+          (max_int, min_int) accs
+    | Points pts ->
+        Array.fold_left
+          (fun acc p ->
+            List.fold_left
+              (fun acc w ->
+                let a = Exec.addr w p in
+                widen acc (a, a))
+              acc accs)
+          (max_int, min_int) pts
+  in
+  let rec overlap reach = function
+    | [] -> false
+    | (lo, hi) :: rest -> lo <= reach || overlap (max reach hi) rest
+  in
+  accs <> []
+  && overlap min_int
+       (Array.to_list (Array.map hull tiles)
+       |> List.filter (fun (lo, hi) -> lo <= hi)
+       |> List.sort compare)
+  &&
+  let first = Array.make (Exec.total_elements compiled) (-1) in
+  let clash = ref false in
+  Array.iteri
+    (fun t tile ->
+      if not !clash then
+        iter_tile tile (fun p ->
+            List.iter
+              (fun w ->
+                let a = Exec.addr w p in
+                if first.(a) < 0 then first.(a) <- t
+                else if first.(a) <> t then clash := true)
+              accs))
     tiles;
-    owners = Array.map fst keys;
-    boxes = Array.map bounding_box tiles;
-  }
+  !clash
 
 (* ------------------------------------------------------------------ *)
 (* Per-attempt machinery                                               *)
@@ -145,7 +209,7 @@ type ctx = {
   plain_writes : Ivec.t -> int list;
   steps : int;
   recover : bool;  (** tile-level crash recovery enabled *)
-  tiles : Ivec.t array array;
+  tiles : tile array;
   queue_tiles : int array array;  (** domain -> tile ids in its deque *)
   deques : Pool.Deques.d;
   hb : int Atomic.t array;  (** per-domain heartbeat: tiles completed *)
@@ -219,16 +283,41 @@ let interruptible_stall ctx ms =
   in
   loop ()
 
+(* Every iteration stores through the same plain writes, so a tile's
+   first point (a box's corner) has a target iff any point does. *)
 let corrupt_target ctx t =
-  let pts = ctx.tiles.(t) in
-  let rec go i =
-    if i >= Array.length pts then None
-    else
-      match ctx.plain_writes pts.(i) with
-      | a :: _ -> Some a
-      | [] -> go (i + 1)
+  let first =
+    match ctx.tiles.(t) with
+    | Box b -> if Kernel.box_volume b > 0 then Some (Array.map fst b) else None
+    | Points pts -> if Array.length pts > 0 then Some pts.(0) else None
   in
-  go 0
+  match Option.map ctx.plain_writes first with
+  | Some (a :: _) -> Some a
+  | Some [] | None -> None
+
+let crash_reason ds ~step exn_str =
+  Printf.sprintf "domain %d crashed at step %d: %s" ds.me step exn_str
+
+(* Consult the fault plan for one claim.  Under the gate lock, so an
+   attempt already aborted consumes no further plan entry, and a crash
+   that will abort the attempt (no tile-level recovery) aborts it in
+   the same critical section: two domains reaching wildcard sites
+   together cannot both spend an entry on one doomed attempt. *)
+let fire ctx ds ~step ~claim =
+  if Fault.is_empty ctx.plan then None
+  else
+    let g = ctx.g in
+    locked g (fun () ->
+        if Atomic.get g.aborted then raise Halt;
+        match Fault.fire ctx.plan ~domain:ds.me ~step ~claim with
+        | None -> None
+        | Some (site, action) ->
+            record g (Report.Injected { action; site; domain = ds.me; step });
+            if action = Fault.Crash && not ctx.recover then
+              abort_locked g
+                ~reason:
+                  (crash_reason ds ~step (Printexc.to_string Injected_crash));
+            Some action)
 
 let run_tile ?(kind = Trace.Tile) ctx ds ~step t =
   let g = ctx.g in
@@ -237,12 +326,10 @@ let run_tile ?(kind = Trace.Tile) ctx ds ~step t =
   let d0 = Trace.depth ctx.trace ds.me in
   Trace.begin_span ctx.trace ds.me kind ~arg:t;
   try
-    (match Fault.fire ctx.plan ~domain:ds.me ~step ~claim with
+    (match fire ctx ds ~step ~claim with
     | None -> ()
-    | Some (site, action) ->
+    | Some action ->
         Trace.incr ctx.trace ds.me Trace.Faults_injected;
-        locked g (fun () ->
-            record g (Report.Injected { action; site; domain = ds.me; step }));
         (match action with
         | Fault.Crash -> raise Injected_crash
         | Fault.Corrupt ->
@@ -289,10 +376,7 @@ let crashed ctx ds ~step ~tile ~was_busy exn_str =
     locked g (fun () ->
         if was_busy then g.busy <- g.busy - 1;
         record g (Report.Crashed { domain = ds.me; step; exn = exn_str });
-        abort_locked g
-          ~reason:
-            (Printf.sprintf "domain %d crashed at step %d: %s" ds.me step
-               exn_str));
+        abort_locked g ~reason:(crash_reason ds ~step exn_str));
     raise Halt
   end
 
@@ -441,8 +525,6 @@ let make_ctx cfg plan compiled steps (p : partitioned) ~recover ~kernels ~trace 
   let ntiles = Array.length p.tiles in
   if Array.length p.owners <> ntiles then
     invalid_arg "Resilient: owners/tiles length mismatch";
-  if Array.length p.boxes <> ntiles then
-    invalid_arg "Resilient: boxes/tiles length mismatch";
   Array.iter
     (fun o -> if o < 0 || o >= n then invalid_arg "Resilient: owner out of range")
     p.owners;
@@ -456,21 +538,18 @@ let make_ctx cfg plan compiled steps (p : partitioned) ~recover ~kernels ~trace 
   let storage = Exec.alloc compiled in
   let exec_tile =
     let run_point = Exec.exec_point compiled storage in
-    let by_points t =
-      let pts = p.tiles.(t) in
-      for i = 0 to Array.length pts - 1 do
-        run_point (Array.unsafe_get pts i)
-      done
+    let exec_tile t =
+      match (p.tiles.(t), kernels) with
+      (* Box tiles take the specialized strided loops when lowered;
+         ragged tiles (clipped parallelepipeds) always interpret. *)
+      | Box b, Some kplan -> Kernel.run_box kplan storage b
+      | (Box _ | Points _) as tile, _ -> iter_tile tile run_point
     in
-    match kernels with
-    | None -> by_points
-    | Some kplan ->
-        fun t ->
-          (* Box tiles take the specialized strided loops; ragged tiles
-             (clipped parallelepipeds) keep the point interpreter. *)
-          (match p.boxes.(t) with
-          | Some b -> Kernel.run_box kplan storage b
-          | None -> by_points t)
+    if accumulates_contend compiled p.tiles then begin
+      let m = Mutex.create () in
+      fun t -> Mutex.protect m (fun () -> exec_tile t)
+    end
+    else exec_tile
   in
   {
     cfg;

@@ -8,8 +8,10 @@
     - {b fault hooks}: an optional {!Fault.plan} fires injected crashes,
       stalls and corruptions at chosen (domain, step, claim) sites - the
       adversity the rest of the machinery is tested against.  Without a
-      plan the hook is a single consumed-array scan per tile claim; the
-      plain {!Exec}/{!Pool} paths never see it at all;
+      plan the hook is one emptiness test per tile claim; with one, each
+      claim consults it under the gate lock, so an aborted attempt
+      consumes no further entry.  The plain {!Exec}/{!Pool} paths never
+      see it at all;
     - {b watchdog}: workers publish a per-tile heartbeat; domains
       waiting at the end-of-step gate monitor the stragglers and convert
       a heartbeat silent for longer than the configured deadline into a
@@ -62,23 +64,29 @@ val default_config : config
 (** [Retry {attempts = 3; backoff_ms = 25}], 1000 ms deadline, 5 ms
     stall poll. *)
 
+type tile = Exec.tile =
+  | Box of Kernel.box
+      (** a rectangular tile as its inclusive per-axis bounds: run
+          through {!Kernel.run_box} when lowered, else interpreted by
+          scanning the box with one reused point *)
+  | Points of Ivec.t array  (** a ragged tile's iteration points, in order *)
+
 type partitioned = {
   nprocs : int;
-  tiles : Ivec.t array array;  (** tile id -> iteration points, in order *)
+  tiles : tile array;
   owners : int array;  (** tile id -> preferred domain, [< nprocs] *)
-  boxes : (int * int) array option array;
-      (** tile id -> inclusive per-axis bounds when the tile's points
-          are exactly a rectangular box ([None] for ragged tiles), the
-          precondition for executing it through {!Kernel.run_box} *)
 }
 (** Tile-granular work: the unit of claiming, stealing, completion
     tracking and recovery. *)
 
 val tiles_of_schedule : Partition.Codegen.schedule -> partitioned
-(** Group the schedule's iteration space into its compile-time tiles
-    (via {!Partition.Codegen.tile_id}), owners from
-    {!Partition.Codegen.owner}; [boxes] holds each tile's bounding box
-    when (and only when) the tile fills it completely. *)
+(** The schedule's non-empty compile-time tiles, ordered by owner
+    ({!Partition.Codegen.owner}) and then by first point in
+    lexicographic order.  Rectangular schedules yield one [Box] per
+    clipped tile of {!Partition.Codegen.rect_tile_ranges} without
+    enumerating a single iteration.  Parallelepiped schedules group the
+    enumerated space by {!Partition.Codegen.tile_id}; a group that
+    exactly fills its bounding box still becomes a [Box]. *)
 
 val execute :
   ?config:config ->
@@ -96,7 +104,9 @@ val execute :
     with smaller counts when degrading).  With [kernels], box tiles run
     through {!Kernel}'s specialized strided loops (ragged tiles keep the
     point interpreter); recovery semantics are unchanged since the tile
-    stays the unit of completion.  With [trace], workers record tile and
+    stays the unit of completion.  Tiles whose accumulating writes may
+    share an address run one at a time, so their read-modify-writes
+    never race.  With [trace], workers record tile and
     re-execution spans, gate waits, steals, watchdog probes and fault
     counters into it (size it for the {e initial} [nprocs]; degraded
     attempts reuse the low domain slots), and the report carries a

@@ -200,7 +200,7 @@ let test_degenerate_and_partial_boxes () =
     [
       (Programs.stencil5 ~n:9 (), [ [| (2, 2); (1, 7) |]; [| (3, 6); (4, 4) |] ]);
       (Programs.stencil5 ~n:9 (), [ [| (5, 5); (5, 5) |] ]);
-      (Programs.matmul ~n:6 (), [ [| (0, 5); (2, 2); (0, 5) |] ]);
+      (Programs.matmul ~n:6 (), [ [| (1, 6); (2, 2); (1, 6) |] ]);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -291,6 +291,46 @@ let test_driver_kernels_flag () =
          acc + d.Runtime.Measure.iterations)
        0 r.Runtime.Measure.per_domain)
 
+(* The kernel path reports iterations and checksum from its own run and
+   footprints from strided address runs; the interpreter's Tiled path
+   counts all three point by point.  Both must agree on the whole
+   gallery. *)
+let test_driver_kernels_agree_with_interpreter () =
+  List.iter
+    (fun (name, nest) ->
+      let a = Driver.analyze ~nprocs:4 nest in
+      let run kernels =
+        Driver.execute
+          ~config:
+            {
+              Driver.default_exec_config with
+              Driver.kernels;
+              repeats = 1;
+              footprint = Runtime.Measure.Exact;
+            }
+          a
+      in
+      let k = run true and i = run false in
+      let per f (r : Runtime.Measure.report) =
+        Array.map f r.Runtime.Measure.per_domain
+      in
+      let iters (d : Runtime.Measure.domain_stat) = d.Runtime.Measure.iterations in
+      let foot (d : Runtime.Measure.domain_stat) = d.Runtime.Measure.footprint in
+      checkb (name ^ ": iterations per domain") true (per iters k = per iters i);
+      checkb (name ^ ": footprints per domain") true (per foot k = per foot i);
+      check (name ^ ": distinct total") i.Runtime.Measure.distinct_total
+        k.Runtime.Measure.distinct_total;
+      checkb (name ^ ": exact footprints") true k.Runtime.Measure.exact_footprints;
+      (* In-place and cross-domain accumulating nests have values that
+         depend on the interleaving; every other nest's values are fixed
+         by the nest alone. *)
+      if (Driver.validate a).Runtime.Validate.deterministic then
+        checkb (name ^ ": bit-equal checksums") true
+          (Int64.equal
+             (Int64.bits_of_float k.Runtime.Measure.checksum)
+             (Int64.bits_of_float i.Runtime.Measure.checksum)))
+    Programs.all
+
 let test_resilient_kernels_match () =
   let nest = Programs.stencil5 ~n:16 () in
   let a = Driver.analyze ~nprocs:4 nest in
@@ -341,5 +381,7 @@ let () =
             test_driver_kernels_flag;
           Alcotest.test_case "Resilient ~kernels:true" `Quick
             test_resilient_kernels_match;
+          Alcotest.test_case "Driver kernels = interpreter on the gallery"
+            `Quick test_driver_kernels_agree_with_interpreter;
         ] );
     ]

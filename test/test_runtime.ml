@@ -227,6 +227,39 @@ let test_values_match_sequential () =
     "parallel values = sequential values" (Some true)
     v.Runtime.Validate.values_match
 
+(* The kernel path holds tiles as boxes end to end: its minor-heap
+   allocation depends on the tiles and domains, not on the iteration
+   count (a few thousand words here).  Listing the 262144 points of one
+   step would cost at least five words each (a 2-element array plus a
+   list cell). *)
+let test_kernel_path_lists_no_points () =
+  let nest = Programs.stencil5 ~n:512 ~steps:2 () in
+  let a = Driver.analyze ~nprocs:2 nest in
+  let config =
+    { Driver.default_exec_config with Driver.kernels = true; repeats = 1 }
+  in
+  ignore (Driver.execute ~config a);
+  let before = Gc.minor_words () in
+  let r = Driver.execute ~config a in
+  let words = Gc.minor_words () -. before in
+  let points = Nest.iterations nest in
+  check "every iteration executed" (2 * points)
+    (Array.fold_left
+       (fun acc (d : Runtime.Measure.domain_stat) -> acc + d.Runtime.Measure.iterations)
+       0 r.Runtime.Measure.per_domain);
+  checkb
+    (Printf.sprintf "%.0f minor words for %d points" words points)
+    true
+    (words < float_of_int points /. 16.0);
+  let before = Gc.minor_words () in
+  let report, _ = Driver.execute_resilient ~config a in
+  let words = Gc.minor_words () -. before in
+  checkb "resilient run completed" true report.Runtime.Report.completed;
+  checkb
+    (Printf.sprintf "resilient: %.0f minor words for %d points" words points)
+    true
+    (words < float_of_int points /. 16.0)
+
 let test_reduction_contention_is_reported () =
   (* diag_accumulate writes one diagonal cell from many iterations: a
      legal shared accumulate, flagged but not a race. *)
@@ -314,6 +347,8 @@ let () =
             test_tiled_prediction_matches_measurement;
           Alcotest.test_case "values match sequential" `Quick
             test_values_match_sequential;
+          Alcotest.test_case "kernel path lists no points" `Quick
+            test_kernel_path_lists_no_points;
           Alcotest.test_case "reduction contention reported" `Quick
             test_reduction_contention_is_reported;
           Alcotest.test_case "dynamic policies execute everything" `Quick

@@ -206,7 +206,7 @@ let test_overhead_budget () =
   let steps = Runtime.Exec.steps_of_nest nest in
   Runtime.Pool.with_pool nprocs (fun pool ->
       let once trace () =
-        let w, _, _ =
+        let w, _, _, _ =
           Runtime.Kernel.time ~trace pool plan ~boxes ~steps ~repeats:1
         in
         w
