@@ -303,16 +303,21 @@ let rect_cumulative ~exact ~lambda ~g ~spread =
 (* Hyperparallelepiped engines                                         *)
 (* ------------------------------------------------------------------ *)
 
+let unsupported_rank ~rank ~nesting =
+  raise
+    (Unsupported
+       (Printf.sprintf
+          "parallelepiped engine needs rank(G) = nesting; got rank %d, \
+           nesting %d (use the rectangular engine)"
+          rank nesting))
+
 let reduced_for_pped ~g ~spread =
-  let red = reduce ~g ~spread in
   let l = Imat.rows g in
+  (* A constant reference has rank 0; [reduce] rejects it outright. *)
+  if is_zero_matrix g then unsupported_rank ~rank:0 ~nesting:l;
+  let red = reduce ~g ~spread in
   if List.length red.kept_cols <> l then
-    raise
-      (Unsupported
-         (Printf.sprintf
-            "parallelepiped engine needs rank(G) = nesting; got rank %d, \
-             nesting %d (use the rectangular engine)"
-            (List.length red.kept_cols) l));
+    unsupported_rank ~rank:(List.length red.kept_cols) ~nesting:l;
   (* Full row rank and kept_cols of size l: the column-selected G1 is
      l x l nonsingular and no row is zero. *)
   Imat.select_cols g red.kept_cols, red.spread_reduced
@@ -345,9 +350,35 @@ let pped_terms_symbolic ~nesting ~g ~spread =
   Pmat.det lg
   :: List.init nesting (fun i -> Pmat.det (Pmat.replace_row lg i a_row))
 
-let float_det a0 =
-  let n = Array.length a0 in
-  let a = Array.map Array.copy a0 in
+(* Theorem 2 in floats, split so that the numerical optimizer reduces
+   each class once per call and evaluates it at many [L] without
+   allocating matrices. *)
+type pped_prep = {
+  index : int;
+  g1 : float array array;
+  a_row : float array;
+}
+
+type pped_scratch = { lg : float array array; work : float array array }
+
+let pped_prepare ~g ~spread =
+  let g1, spread_red = reduced_for_pped ~g ~spread in
+  let n = Imat.rows g1 in
+  {
+    index = abs (Imat.det g1);
+    g1 =
+      Array.init n (fun k ->
+          Array.init n (fun j -> float_of_int (Imat.get g1 k j)));
+    a_row = Array.map float_of_int spread_red;
+  }
+
+let pped_index p = p.index
+
+let pped_scratch n =
+  { lg = Array.make_matrix n n 0.0; work = Array.make_matrix n n 0.0 }
+
+let float_det_in_place a =
+  let n = Array.length a in
   let det = ref 1.0 in
   (try
      for c = 0 to n - 1 do
@@ -377,28 +408,35 @@ let float_det a0 =
    with Exit -> ());
   !det
 
-let pped_cumulative_float ~l ~g ~spread =
-  let red = reduce ~g ~spread in
-  let nl = Array.length l in
-  if List.length red.kept_cols <> nl then
-    raise
-      (Unsupported "parallelepiped float engine needs rank(G) = nesting");
-  let g1 = Imat.select_cols g red.kept_cols in
-  let lg =
-    Array.init nl (fun i ->
-        Array.init nl (fun j ->
-            let acc = ref 0.0 in
-            for k = 0 to nl - 1 do
-              acc := !acc +. (l.(i).(k) *. float_of_int (Imat.get g1 k j))
-            done;
-            !acc))
-  in
-  let a_row = Array.map float_of_int red.spread_reduced in
-  let replace i =
-    Array.init nl (fun i' -> if i' = i then a_row else lg.(i'))
-  in
-  let acc = ref (abs_float (float_det lg)) in
-  for i = 0 to nl - 1 do
-    acc := !acc +. abs_float (float_det (replace i))
+let float_det a = float_det_in_place (Array.map Array.copy a)
+
+(* |det| of [lg] with row [r] replaced by [a_row] ([r = n]: no row
+   replaced), eliminated in [work]. *)
+let abs_det_replacing ~n ~work ~lg ~a_row r =
+  for i = 0 to n - 1 do
+    Array.blit (if i = r then a_row else lg.(i)) 0 work.(i) 0 n
+  done;
+  abs_float (float_det_in_place work)
+
+let pped_eval s p ~l =
+  let n = Array.length p.a_row in
+  let lg = s.lg in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let acc = ref 0.0 in
+      for k = 0 to n - 1 do
+        acc := !acc +. (l.(i).(k) *. p.g1.(k).(j))
+      done;
+      lg.(i).(j) <- !acc
+    done
+  done;
+  let work = s.work and a_row = p.a_row in
+  let acc = ref (abs_det_replacing ~n ~work ~lg ~a_row n) in
+  for i = 0 to n - 1 do
+    acc := !acc +. abs_det_replacing ~n ~work ~lg ~a_row i
   done;
   !acc
+
+let pped_cumulative_float ~l ~g ~spread =
+  let p = pped_prepare ~g ~spread in
+  pped_eval (pped_scratch (Array.length p.a_row)) p ~l

@@ -26,8 +26,8 @@ open Intmath
 open Matrixkit
 
 exception Unsupported of string
-(** Raised when a parallelepiped engine meets a [G] outside its domain
-    (rank-deficient rows after column reduction). *)
+(** Raised when a parallelepiped engine meets a [G] outside its domain:
+    rank(G) < nesting, which includes a constant reference (zero [G]). *)
 
 val theorem1_applies : Imat.t -> bool
 (** Sufficient condition for [S(LG)] to coincide with the footprint:
@@ -91,14 +91,52 @@ val rect_cumulative_poly_class :
 
 val pped_single : l:Qmat.t -> g:Imat.t -> Rat.t
 (** Equation 2: [|det (L G')|] on the column-reduced [G'].  Raises
-    {!Unsupported} if the reduced [G] has dependent rows. *)
+    {!Unsupported} unless rank(G) = nesting: when the reduced [G] has
+    dependent rows, and for a constant reference (zero [G]). *)
 
 val pped_cumulative : l:Qmat.t -> g:Imat.t -> spread:Ivec.t -> Rat.t
 (** Theorem 2: [|det LG| + sum_i |det LG_{i->spread}|]. *)
 
 val pped_cumulative_float :
   l:float array array -> g:Imat.t -> spread:Ivec.t -> float
-(** Float variant used by the numerical tile optimizer. *)
+(** Float variant of {!pped_cumulative}: {!pped_prepare} followed by one
+    {!pped_eval} on a fresh scratch. *)
+
+(** {2 Prepared float engine}
+
+    The numerical tile optimizer evaluates Theorem 2 at hundreds of
+    thousands of real [L] for the same classes.  Everything that does not
+    depend on [L] - the reduction, the lattice index, [G'] and the spread
+    row as floats - is computed once by {!pped_prepare}.  {!pped_eval}
+    then forms [LG'] and its [n + 1] determinants in a caller-owned
+    {!pped_scratch}; it allocates no arrays, only its boxed float
+    result.  The float operations and their order are those of
+    {!pped_cumulative_float}, so results are bit-identical however the
+    work is split. *)
+
+type pped_prep
+(** One class, prepared: [G'] (column-reduced, [n x n]) and the reduced
+    spread row as floats, and the lattice index. *)
+
+val pped_prepare : g:Imat.t -> spread:Ivec.t -> pped_prep
+(** Raises {!Unsupported} unless rank(G) = nesting (the rows of [G]); a
+    constant reference (zero [G]) has rank 0.  No determinant is taken
+    before this check. *)
+
+val pped_index : pped_prep -> int
+(** [|det G'|]: the index of the lattice the reference's image lies on. *)
+
+type pped_scratch
+(** Work space for {!pped_eval}: two [n x n] float matrices. *)
+
+val pped_scratch : int -> pped_scratch
+(** [pped_scratch n]: scratch for nesting [n].  Not shared between
+    domains: each concurrent caller makes its own. *)
+
+val pped_eval : pped_scratch -> pped_prep -> l:float array array -> float
+(** Theorem 2 at the real [n x n] tile matrix [l]:
+    [|det LG'| + sum_i |det LG'_{i->spread}|].  Overwrites the scratch;
+    reads [l] only. *)
 
 val pped_terms_symbolic :
   nesting:int -> g:Imat.t -> spread:Ivec.t -> Mpoly.t list
@@ -111,7 +149,12 @@ val pped_terms_symbolic :
     other parallelepiped engines. *)
 
 val float_det : float array array -> float
-(** Determinant by partial-pivot LU; exposed for the optimizer. *)
+(** Determinant by partial-pivot LU: a copy followed by
+    {!float_det_in_place}. *)
+
+val float_det_in_place : float array array -> float
+(** {!float_det} without the copy, for the optimizer: eliminates in its
+    argument, whose entries and row order are left undefined. *)
 
 (** {1 Reduction diagnostics} *)
 

@@ -12,23 +12,55 @@ type result = {
   improves_on_rect : bool;
 }
 
-let class_index (c : Cost.class_cost) =
-  let g = c.Cost.cls.Uniform.g in
-  let red = Size.reduce ~g ~spread:(Uniform.spread c.Cost.cls) in
-  abs (Imat.det red.Size.g_reduced)
+(* A class prepared for Theorem 2 at real [L]: its weight in the
+   objective and its lattice index, as floats. *)
+type cls = { weight : float; index : float; prep : Size.pped_prep }
+
+(* Everything [eval] reads that does not depend on [L], built once per
+   [optimize] call, plus the buffers it writes: [lr] holds the
+   renormalized [L] of the current probe.  Owned by one call, so
+   concurrent calls share nothing. *)
+type problem = {
+  classes : cls array;
+  scratch : Size.pped_scratch;
+  extents : int array;
+  volume : float;
+  lr : float array array;
+}
+
+(* [None] when some class has rank(G) < nesting. *)
+let prepare_classes cost =
+  match
+    List.map
+      (fun (c : Cost.class_cost) ->
+        let prep =
+          Size.pped_prepare ~g:c.Cost.cls.Uniform.g
+            ~spread:(Uniform.spread c.Cost.cls)
+        in
+        {
+          weight = float_of_int c.Cost.sync_weight;
+          index = float_of_int (Size.pped_index prep);
+          prep;
+        })
+      cost.Cost.classes
+  with
+  | classes -> Some (Array.of_list classes)
+  | exception Size.Unsupported _ -> None
+
+let objective_at classes scratch l =
+  let acc = ref 0.0 in
+  for c = 0 to Array.length classes - 1 do
+    let k = classes.(c) in
+    let v = Size.pped_eval scratch k.prep ~l /. k.index in
+    acc := !acc +. (k.weight *. v)
+  done;
+  !acc
 
 let objective cost l =
-  try
-    List.fold_left
-      (fun acc (c : Cost.class_cost) ->
-        let g = c.Cost.cls.Uniform.g in
-        let spread = Uniform.spread c.Cost.cls in
-        let idx = class_index c in
-        if idx = 0 then raise (Size.Unsupported "singular reduced G");
-        let v = Size.pped_cumulative_float ~l ~g ~spread /. float_of_int idx in
-        acc +. (float_of_int c.Cost.sync_weight *. v))
-      0.0 cost.Cost.classes
-  with Size.Unsupported _ -> infinity
+  match prepare_classes cost with
+  | None -> infinity
+  | Some classes ->
+      objective_at classes (Size.pped_scratch (Nest.nesting cost.Cost.nest)) l
 
 let copy_mat m = Array.map Array.copy m
 
@@ -49,32 +81,46 @@ let box_penalty ~extents l =
   done;
   !pen
 
-let renormalize ~volume l =
+(* Scales [l] into [p.lr] so that |det| = volume; false when [l] is
+   (nearly) singular. *)
+let renormalize_into p l =
   let n = Array.length l in
-  let d = abs_float (Size.float_det l) in
-  if d < 1e-9 then None
+  let lr = p.lr in
+  for i = 0 to n - 1 do
+    Array.blit l.(i) 0 lr.(i) 0 n
+  done;
+  let d = abs_float (Size.float_det_in_place lr) in
+  if d < 1e-9 then false
   else begin
-    let s = (volume /. d) ** (1.0 /. float_of_int n) in
-    Some (Array.map (Array.map (fun x -> x *. s)) l)
+    let s = (p.volume /. d) ** (1.0 /. float_of_int n) in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        lr.(i).(j) <- l.(i).(j) *. s
+      done
+    done;
+    true
   end
 
-let eval cost ~volume l =
-  match renormalize ~volume l with
-  | None -> infinity
-  | Some l' ->
-      let extents = Nest.extents cost.Cost.nest in
-      let base = objective cost l' in
-      base *. (1.0 +. (100.0 *. box_penalty ~extents l'))
+let renormalize p l =
+  if renormalize_into p l then Some (copy_mat p.lr) else None
+
+let eval p l =
+  if not (renormalize_into p l) then infinity
+  else
+    let base = objective_at p.classes p.scratch p.lr in
+    base *. (1.0 +. (100.0 *. box_penalty ~extents:p.extents p.lr))
 
 (* Golden-section over one entry of L; all evaluations renormalize the
-   determinant, so the search is effectively over tile shape. *)
-let refine_entry cost ~volume l i j =
+   determinant, so the search is effectively over tile shape.  A probe
+   sets the entry and restores it. *)
+let refine_entry p l i j =
   let base = l.(i).(j) in
   let width = 2.0 +. (2.0 *. abs_float base) in
   let f t =
-    let m = copy_mat l in
-    m.(i).(j) <- t;
-    eval cost ~volume m
+    l.(i).(j) <- t;
+    let v = eval p l in
+    l.(i).(j) <- base;
+    v
   in
   let phi = (sqrt 5.0 -. 1.0) /. 2.0 in
   let a = ref (base -. width) and b = ref (base +. width) in
@@ -98,9 +144,9 @@ let refine_entry cost ~volume l i j =
     end
   done;
   let t = (!a +. !b) /. 2.0 in
-  if f t < eval cost ~volume l -. 1e-12 then l.(i).(j) <- t
+  if f t < eval p l -. 1e-12 then l.(i).(j) <- t
 
-let descend cost ~volume l =
+let descend p l =
   let n = Array.length l in
   let prev = ref infinity in
   let continue = ref true in
@@ -108,20 +154,20 @@ let descend cost ~volume l =
   while !continue && !rounds < 25 do
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
-        refine_entry cost ~volume l i j
+        refine_entry p l i j
       done
     done;
-    let v = eval cost ~volume l in
+    let v = eval p l in
     if !prev -. v < 1e-7 *. (1.0 +. abs_float v) then continue := false;
     prev := v;
     incr rounds
   done;
   !prev
 
-let round_to_int ~volume l =
+let round_to_int p l =
   (* Round entries; small entries snap to the nearest integer, then the
      result is checked for nonsingularity. *)
-  match renormalize ~volume l with
+  match renormalize p l with
   | None -> None
   | Some l' ->
       let n = Array.length l' in
@@ -131,82 +177,82 @@ let round_to_int ~volume l =
       if Imat.det m = 0 then None else Some m
 
 let optimize cost ~nprocs =
-  let nest = cost.Cost.nest in
-  let l_dim = Nest.nesting nest in
-  let volume =
-    float_of_int (Nest.iterations nest) /. float_of_int nprocs
-  in
-  (* Bail out early when some class is outside the engine's domain. *)
-  if objective cost (Array.init l_dim (fun i ->
-          Array.init l_dim (fun j -> if i = j then 1.0 else 0.0)))
-     = infinity
-  then None
-  else begin
-    let extents = Nest.extents nest in
-    let rect_sizes =
-      Rectangular.continuous_optimum cost ~volume ~extents
-    in
-    let diag_start =
-      Array.init l_dim (fun i ->
-          Array.init l_dim (fun j -> if i = j then rect_sizes.(i) else 0.0))
-    in
-    let skew_starts =
-      (* Unit skews of the rectangular start in every off-diagonal
-         direction and orientation. *)
-      List.concat_map
-        (fun (i, j) ->
-          List.map
-            (fun sgn ->
-              let m = copy_mat diag_start in
-              m.(i).(j) <- sgn *. rect_sizes.(i);
-              m)
-            [ 1.0; -1.0 ])
-        (List.concat_map
-           (fun i ->
-             List.filter_map
-               (fun j -> if i <> j then Some (i, j) else None)
-               (List.init l_dim Fun.id))
-           (List.init l_dim Fun.id))
-    in
-    let best = ref None in
-    List.iter
-      (fun start ->
-        let l = copy_mat start in
-        let v = descend cost ~volume l in
-        match !best with
-        | Some (_, bv) when bv <= v -> ()
-        | _ -> best := Some (l, v))
-      (diag_start :: skew_starts);
-    match !best with
-    | None -> None
-    | Some (l, continuous_cost) -> (
-        let l = Option.value ~default:l (renormalize ~volume l) in
-        match round_to_int ~volume l with
-        | None -> None
-        | Some li ->
-            let rounded_cost =
-              objective cost
-                (Array.init l_dim (fun i ->
-                     Array.init l_dim (fun j ->
-                         float_of_int (Imat.get li i j))))
-            in
-            let rect =
-              objective cost
-                (Array.init l_dim (fun i ->
-                     Array.init l_dim (fun j ->
-                         if i = j then rect_sizes.(i) else 0.0)))
-            in
-            Some
-              {
-                l = li;
-                tile = Tile.pped li;
-                continuous_l = l;
-                continuous_cost;
-                rounded_cost;
-                rect_cost = rect;
-                improves_on_rect = continuous_cost < rect -. 1e-6;
-              })
-  end
+  match prepare_classes cost with
+  | None -> None
+  | Some classes -> (
+      let nest = cost.Cost.nest in
+      let l_dim = Nest.nesting nest in
+      let volume =
+        float_of_int (Nest.iterations nest) /. float_of_int nprocs
+      in
+      let extents = Nest.extents nest in
+      let p =
+        {
+          classes;
+          scratch = Size.pped_scratch l_dim;
+          extents;
+          volume;
+          lr = Array.make_matrix l_dim l_dim 0.0;
+        }
+      in
+      let rect_sizes =
+        Rectangular.continuous_optimum cost ~volume ~extents
+      in
+      let diag_start =
+        Array.init l_dim (fun i ->
+            Array.init l_dim (fun j -> if i = j then rect_sizes.(i) else 0.0))
+      in
+      let skew_starts =
+        (* Unit skews of the rectangular start in every off-diagonal
+           direction and orientation. *)
+        List.concat_map
+          (fun (i, j) ->
+            List.map
+              (fun sgn ->
+                let m = copy_mat diag_start in
+                m.(i).(j) <- sgn *. rect_sizes.(i);
+                m)
+              [ 1.0; -1.0 ])
+          (List.concat_map
+             (fun i ->
+               List.filter_map
+                 (fun j -> if i <> j then Some (i, j) else None)
+                 (List.init l_dim Fun.id))
+             (List.init l_dim Fun.id))
+      in
+      let best = ref None in
+      List.iter
+        (fun start ->
+          let l = copy_mat start in
+          let v = descend p l in
+          match !best with
+          | Some (_, bv) when bv <= v -> ()
+          | _ -> best := Some (l, v))
+        (diag_start :: skew_starts);
+      match !best with
+      | None -> None
+      | Some (l, continuous_cost) -> (
+          let l = Option.value ~default:l (renormalize p l) in
+          match round_to_int p l with
+          | None -> None
+          | Some li ->
+              let rounded_cost =
+                objective_at classes p.scratch
+                  (Array.init l_dim (fun i ->
+                       Array.init l_dim (fun j ->
+                           float_of_int (Imat.get li i j))))
+              in
+              let rect = objective_at classes p.scratch diag_start in
+              Some
+                {
+                  l = li;
+                  tile = Tile.pped li;
+                  continuous_l = l;
+                  continuous_cost;
+                  rounded_cost;
+                  rect_cost = rect;
+                  improves_on_rect = continuous_cost < rect -. 1e-6;
+                }))
 
 let pp_result ppf r =
   Format.fprintf ppf
