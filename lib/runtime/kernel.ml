@@ -752,24 +752,47 @@ let time ?trace pool p ~boxes ~steps ~repeats =
   done;
   (!best_wall, best_seconds, best_iterations, !best_checksum)
 
-(* Every address one reference produces over a box, walked with the
-   same running-address bumps as {!run_box} (any order will do for a
-   set). *)
+(* Every address one reference produces over a box.  A set does not
+   depend on traversal order, so each reference picks its own run axis:
+   one where it moves by one element if it has one (a byte fill per
+   run), else its last axis that moves it at all.  The walk iterates
+   the other axes, and an axis the reference does not move along adds
+   no address, so it is visited once. *)
 let touch_box touched (r : Exec.cref) (b : box) =
   let d = Array.length b in
   let m = r.Exec.m in
-  let rec go k a =
-    if k = d then Measure.touch touched a
-    else begin
-      let lo, hi = b.(k) in
-      let a = ref (a + (m.(k) * lo)) in
-      for _ = lo to hi do
-        go (k + 1) !a;
-        a := !a + m.(k)
-      done
-    end
-  in
-  go 0 r.Exec.c
+  if Array.for_all (fun (lo, hi) -> lo <= hi) b then begin
+    let last_axis p =
+      let axis = ref (-1) in
+      Array.iteri (fun k mk -> if p mk then axis := k) m;
+      !axis
+    in
+    let run =
+      match last_axis (fun mk -> abs mk = 1) with
+      | -1 -> last_axis (fun mk -> mk <> 0)
+      | k -> k
+    in
+    let stride, len =
+      if run < 0 then (0, 1)
+      else
+        let lo, hi = b.(run) in
+        (m.(run), hi - lo + 1)
+    in
+    let rec go k a =
+      if k = d then Measure.touch_run touched ~start:a ~stride ~len
+      else
+        let lo, hi = b.(k) in
+        if k = run || m.(k) = 0 then go (k + 1) (a + (m.(k) * lo))
+        else begin
+          let a = ref (a + (m.(k) * lo)) in
+          for _ = lo to hi do
+            go (k + 1) !a;
+            a := !a + m.(k)
+          done
+        end
+    in
+    go 0 r.Exec.c
+  end
 
 let footprints pool p ~boxes ~mode =
   check_boxes pool p boxes;

@@ -106,10 +106,13 @@ val time :
 val footprints :
   Pool.t -> plan -> boxes:box array array -> mode:Measure.mode -> Measure.touched array
 (** Per-domain footprint sets without executing the body: domain [p]
-    adds the strided address run of every reference over each box of
-    [boxes.(p)] to its own set.  Addresses do not depend on the outer
-    sequential step, so one pass yields exactly the sets an
-    instrumented all-steps execution ({!Exec.measure}) collects. *)
+    adds the address set of every reference over each box of
+    [boxes.(p)] to its own set, as runs ({!Measure.touch_run}) along
+    the reference's own run axis - one it moves along by one element
+    if it has one - and visits an axis it does not move along once.
+    Addresses do not depend on the outer sequential step, so one pass
+    yields exactly the sets an instrumented all-steps execution
+    ({!Exec.measure}) collects. *)
 
 val sequential : plan -> steps:int -> Exec.storage
 (** The whole iteration space as one box on the calling domain, [steps]

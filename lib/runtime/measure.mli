@@ -25,7 +25,21 @@ val exact_limit : int
 type touched
 
 val touched : mode -> universe:int -> touched
+(** An empty set over the addresses [0 .. universe-1].  Every address
+    passed to {!touch}, {!touch_run} or {!mem} must lie in that range;
+    one outside it raises [Invalid_argument] (in every mode). *)
+
 val touch : touched -> int -> unit
+
+val touch_run : touched -> start:int -> stride:int -> len:int -> unit
+(** [touch_run t ~start ~stride ~len] adds [start + k * stride] for
+    [k = 0 .. len-1]: the same set as [len] calls of {!touch}.  A
+    negative stride walks the mirrored run, stride [0] adds one address,
+    [len = 0] adds nothing and a negative [len] raises
+    [Invalid_argument].  The range contract is checked once, on
+    the run's two ends.  On an exact set a unit-stride run fills its
+    whole bytes at once, so a row costs O(len / 8). *)
+
 val mem : touched -> int -> bool
 (** Whether an address was touched.  Exact sets only ([Invalid_argument]
     for a Bloom filter). *)
@@ -34,8 +48,9 @@ val touched_count : touched -> int
 val is_exact : touched -> bool
 
 val union_count : touched array -> int
-(** Cardinality of the union: bit-or of the underlying sets (all created
-    with the same mode and universe).  [0] for an empty array. *)
+(** Cardinality of the union: popcount of the bit-or of the underlying
+    sets (all created with the same mode and universe), formed byte by
+    byte without copying a set.  [0] for an empty array. *)
 
 type domain_stat = {
   domain : int;

@@ -343,6 +343,45 @@ let test_resilient_kernels_match () =
   checkb "resilient kernel buffer = sequential" true
     (buffer = Runtime.Exec.sequential compiled ~steps:(steps_of nest))
 
+(* stencil5 at n = 4096: a universe of 4096^2 + 4098^2 elements, above
+   Measure.exact_limit, measured exactly from row runs.  Only the plan,
+   the boxes and the two bitsets are built - no operands, no execution -
+   and the walk allocates per box and reference, not per point. *)
+let test_large_extent_footprints_exact () =
+  let n = 4096 and nprocs = 2 in
+  let nest = Programs.stencil5 ~n ~steps:1 () in
+  let a = Driver.analyze ~nprocs nest in
+  let sched = Driver.schedule a in
+  let predicted =
+    Partition.Cost.misses_per_tile a.Driver.cost sched.Partition.Codegen.tile
+    * Intmath.Int_math.ceil_div (Partition.Codegen.num_tiles sched) nprocs
+  in
+  let plan = Runtime.Kernel.plan (Runtime.Exec.compile nest) in
+  let universe = Runtime.Exec.total_elements (Runtime.Kernel.compiled plan) in
+  check "universe" ((n * n) + ((n + 2) * (n + 2))) universe;
+  checkb "universe above exact_limit" true (universe > Runtime.Measure.exact_limit);
+  let boxes = Runtime.Kernel.boxes_of_schedule sched in
+  let nboxes = Array.fold_left (fun acc b -> acc + Array.length b) 0 boxes in
+  let nrefs = List.length (Runtime.Kernel.strides plan) in
+  Runtime.Pool.with_pool nprocs (fun pool ->
+      let before = Gc.minor_words () in
+      let touched =
+        Runtime.Kernel.footprints pool plan ~boxes ~mode:Runtime.Measure.Exact
+      in
+      let per = Array.map Runtime.Measure.touched_count touched in
+      let union = Runtime.Measure.union_count touched in
+      let words = Gc.minor_words () -. before in
+      Array.iteri
+        (fun p f -> check (Printf.sprintf "domain %d = predicted" p) predicted f)
+        per;
+      (* The four corners of B are the only elements no reference reads. *)
+      check "union = universe - 4" (universe - 4) union;
+      checkb
+        (Printf.sprintf "%.0f minor words for %d boxes x %d refs" words nboxes
+           nrefs)
+        true
+        (words < float_of_int (256 * (nboxes + nrefs + nprocs))))
+
 let () =
   Alcotest.run "kernel"
     [
@@ -383,5 +422,7 @@ let () =
             test_resilient_kernels_match;
           Alcotest.test_case "Driver kernels = interpreter on the gallery"
             `Quick test_driver_kernels_agree_with_interpreter;
+          Alcotest.test_case "exact footprints above exact_limit" `Quick
+            test_large_extent_footprints_exact;
         ] );
     ]

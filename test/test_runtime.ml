@@ -177,6 +177,76 @@ let test_union_count () =
   check "union of overlapping sets" 5
     (Runtime.Measure.union_count [| mk [ 1; 2; 3 ]; mk [ 3; 4; 5 ] |])
 
+let raises_invalid f =
+  match f () with () -> false | exception Invalid_argument _ -> true
+
+(* An exact set indexes its bytes unchecked, so an address outside the
+   universe would land in the guard padding or, negative, outside the
+   buffer.  Every entry point must refuse it, and a refused run adds
+   nothing. *)
+let test_out_of_universe_rejected () =
+  let open Runtime.Measure in
+  let exact = touched Exact ~universe:100 in
+  List.iter
+    (fun a ->
+      checkb (Printf.sprintf "touch %d raises" a) true
+        (raises_invalid (fun () -> touch exact a)))
+    [ 100; 1000; 1100; -1 ];
+  List.iter
+    (fun a ->
+      checkb (Printf.sprintf "mem %d raises" a) true
+        (raises_invalid (fun () -> ignore (mem exact a))))
+    [ 100; -1 ];
+  List.iter
+    (fun (start, stride, len) ->
+      checkb
+        (Printf.sprintf "touch_run start %d stride %d len %d raises" start
+           stride len)
+        true
+        (raises_invalid (fun () -> touch_run exact ~start ~stride ~len)))
+    [ (95, 1, 6); (-1, 1, 3); (2, -1, 4); (0, 7, 16); (100, 0, 1); (0, 1, -1) ];
+  check "nothing was added" 0 (touched_count exact);
+  touch exact 0;
+  touch exact 99;
+  touch_run exact ~start:90 ~stride:3 ~len:4;
+  check "in-range addresses still count" 5 (touched_count exact);
+  let bloom = touched (Bloom 1024) ~universe:100 in
+  checkb "bloom touch 100 raises" true (raises_invalid (fun () -> touch bloom 100))
+
+(* A run must add exactly the addresses its per-address expansion adds:
+   whole-byte fills, partial head and tail bytes, mirrored negative
+   strides and the single address of stride 0. *)
+let test_touch_run_matches_touch () =
+  let open Runtime.Measure in
+  let universe = 160 in
+  for start = 0 to 15 do
+    for len = 0 to 20 do
+      List.iter
+        (fun stride ->
+          let last = start + ((len - 1) * stride) in
+          if len = 0 || (last >= 0 && last < universe) then begin
+            let what = Printf.sprintf "start %d len %d stride %d" start len stride in
+            let pair mode =
+              let run = touched mode ~universe and each = touched mode ~universe in
+              touch_run run ~start ~stride ~len;
+              for k = 0 to len - 1 do
+                touch each (start + (k * stride))
+              done;
+              (run, each)
+            in
+            let run, each = pair Exact in
+            for a = 0 to universe - 1 do
+              if mem run a <> mem each a then
+                Alcotest.failf "%s: address %d differs" what a
+            done;
+            check (what ^ ": exact count") (touched_count each) (touched_count run);
+            let run, each = pair (Bloom 4096) in
+            check (what ^ ": bloom count") (touched_count each) (touched_count run)
+          end)
+        [ -3; -1; 0; 1; 2; 7 ]
+    done
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Runtime vs simulator: the validation protocol                       *)
 (* ------------------------------------------------------------------ *)
@@ -338,6 +408,10 @@ let () =
           Alcotest.test_case "exact and bloom counters" `Quick
             test_touched_exact_and_bloom;
           Alcotest.test_case "union cardinality" `Quick test_union_count;
+          Alcotest.test_case "out-of-universe addresses rejected" `Quick
+            test_out_of_universe_rejected;
+          Alcotest.test_case "touch_run = per-address touch" `Quick
+            test_touch_run_matches_touch;
         ] );
       ( "validation",
         [
