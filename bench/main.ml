@@ -1050,7 +1050,7 @@ let e22 () =
                     (Scheduling.of_schedule sched)
                 in
                 fun () ->
-                  let w, _, _ =
+                  let w, _, _, _ =
                     Runtime.Exec.time pool compiled work ~steps ~repeats:1
                   in
                   w
@@ -1114,12 +1114,15 @@ let e22 () =
       let kernel1 =
         measure_row ~nprocs:1 ~path:(`Kernel false) "kernel / 1" (Some interp1)
       in
-      let kernel8 =
-        measure_row ~nprocs:8 ~path:(`Kernel false) "kernel / 8" (Some kernel1)
+      let kernel_n =
+        measure_row ~nprocs:cores ~path:(`Kernel false)
+          (Printf.sprintf "kernel / %d" cores)
+          (Some kernel1)
       in
       pf "generic strided loop vs interpreter: %.2fx (target >= 5x)@."
         (interp1 /. generic1);
-      pf "tiled 8-domain vs 1-domain (kernel): %.2fx%s@." (kernel1 /. kernel8)
+      pf "tiled %d-domain vs 1-domain (kernel): %.2fx%s@." cores
+        (kernel1 /. kernel_n)
         (if cores = 1 then
            " - single-core host, parallel speedup is not expected here"
          else ""))

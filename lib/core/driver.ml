@@ -44,7 +44,6 @@ type exec_config = {
   repeats : int;
   steps : int option;
   footprint : Runtime.Measure.mode;
-  bigarray : bool;
   kernels : bool;
   trace : Runtime.Trace.t option;
 }
@@ -55,7 +54,6 @@ let default_exec_config =
     repeats = 3;
     steps = None;
     footprint = Runtime.Measure.Auto;
-    bigarray = false;
     kernels = false;
     trace = None;
   }
@@ -84,7 +82,7 @@ let execute_kernels ~config ~sched a =
     Intmath.Int_math.ceil_div (Codegen.num_tiles sched) a.nprocs
   in
   let predicted = per_tile * tiles_per_proc in
-  let compiled = Runtime.Exec.compile ~bigarray:config.bigarray nest in
+  let compiled = Runtime.Exec.compile nest in
   let plan = Runtime.Kernel.plan compiled in
   let boxes = Runtime.Kernel.boxes_of_schedule sched in
   let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
@@ -178,7 +176,7 @@ let execute ?(config = default_exec_config) ?tile a =
            },
          None)
   in
-  let compiled = Runtime.Exec.compile ~bigarray:config.bigarray nest in
+  let compiled = Runtime.Exec.compile nest in
   let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
   let raw =
     Runtime.Pool.with_pool a.nprocs (fun pool ->
@@ -194,7 +192,7 @@ let execute ?(config = default_exec_config) ?tile a =
 let execute_resilient ?(config = default_exec_config)
     ?(resilience = Runtime.Resilient.default_config) ?plan ?tile a =
   let nest = a.nest in
-  let compiled = Runtime.Exec.compile ~bigarray:config.bigarray nest in
+  let compiled = Runtime.Exec.compile nest in
   let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
   let chosen = Option.value ~default:(best_tile a) tile in
   let partition ~nprocs =

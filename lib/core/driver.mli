@@ -58,7 +58,6 @@ type exec_config = {
   repeats : int;  (** timed runs; minimum is reported *)
   steps : int option;  (** override the outer [Doseq] trip count *)
   footprint : Runtime.Measure.mode;
-  bigarray : bool;  (** operands in a [Bigarray] instead of [float array] *)
   kernels : bool;
       (** lower tiles to {!Runtime.Kernel}'s specialized strided loops
           instead of interpreting point by point; effective for the

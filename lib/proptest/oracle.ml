@@ -504,33 +504,17 @@ let check_resilient (c : Gen.case) =
    demand byte-identical final buffers.  Comparing over the same boxes
    in the same order isolates what the kernel owns - incremental
    addressing, traversal reordering, shape specialization - from tile
-   scheduling order, which other oracles cover.  Alternates storage
-   representations across cases. *)
+   scheduling order, which other oracles cover. *)
 let check_kernel (c : Gen.case) =
-  let bigarray = c.id land 1 = 1 in
-  let compiled = Exec.compile ~bigarray c.nest in
+  let compiled = Exec.compile c.nest in
   let steps = Exec.steps_of_nest c.nest in
   let sched = Codegen.make c.nest (Tile.rect c.tile) ~nprocs:c.nprocs in
   let boxes = Codegen.rect_tile_ranges sched in
   let reference =
     let storage = Exec.alloc compiled in
     let body = Exec.exec_point compiled storage in
-    let run_box (b : (int * int) array) =
-      let d = Array.length b in
-      let point = Array.map fst b in
-      let rec go k =
-        if k = d then body point
-        else
-          let lo, hi = b.(k) in
-          for v = lo to hi do
-            point.(k) <- v;
-            go (k + 1)
-          done
-      in
-      go 0
-    in
     for _ = 1 to steps do
-      List.iter run_box boxes
+      List.iter (fun b -> Exec.iter_box b body) boxes
     done;
     storage
   in
@@ -558,12 +542,11 @@ let check_kernel (c : Gen.case) =
     if !mismatch >= 0 then
       let i = !mismatch in
       fail "kernel-interp-agree"
-        "%s kernel (shape %s, order %s, %s) diverges from the interpreter \
-         at element %d: %h vs %h (tile %s, %d procs)"
+        "%s kernel (shape %s, order %s) diverges from the interpreter at \
+         element %d: %h vs %h (tile %s, %d procs)"
         (if force_generic then "generic" else "specialized")
         (Kernel.shape plan)
         (ivec_str (Kernel.order plan))
-        (if bigarray then "bigarray" else "flat")
         i
         (if i < Array.length buf then buf.(i) else Float.nan)
         (if i < Array.length ref_buf then ref_buf.(i) else Float.nan)

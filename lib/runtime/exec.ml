@@ -5,16 +5,13 @@ open Machine
 type cref = { c : int; m : int array }
 (* Address of iteration [i] through the reference: [c + m . i]. *)
 
-type storage =
-  | Flat of float array
-  | Big of (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type storage = float array
 
 type compiled = {
   nest : Nest.t;
   layout : Layout.t;
   reads : cref array;
   writes : (cref * bool (* accumulate *)) array;
-  bigarray : bool;
 }
 
 let compile_ref layout nesting (r : Reference.t) =
@@ -36,7 +33,7 @@ let compile_ref layout nesting (r : Reference.t) =
   in
   { c = !c; m }
 
-let compile ?(bigarray = false) nest =
+let compile nest =
   let layout = Layout.of_nest nest in
   let nesting = Nest.nesting nest in
   let reads, writes =
@@ -53,13 +50,11 @@ let compile ?(bigarray = false) nest =
     layout;
     reads = Array.of_list reads;
     writes = Array.of_list writes;
-    bigarray;
   }
 
 let nest c = c.nest
 let layout c = c.layout
 let total_elements c = Layout.total_elements c.layout
-let is_bigarray c = c.bigarray
 let reads c = c.reads
 let writes c = c.writes
 
@@ -74,55 +69,25 @@ let address c (r : Reference.t) =
    comparisons are meaningful from the first step. *)
 let init_value i = float_of_int ((i land 63) + 1) *. 0.125
 
-(* Filled by plain loops: [Array.init n init_value] would box a float
+(* Filled by a plain loop: [Array.init n init_value] would box a float
    per element. *)
 let alloc c =
   let n = total_elements c in
-  if c.bigarray then begin
-    let a = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-    for i = 0 to n - 1 do
-      Bigarray.Array1.unsafe_set a i (init_value i)
-    done;
-    Big a
-  end
-  else begin
-    let a = Array.create_float n in
-    for i = 0 to n - 1 do
-      Array.unsafe_set a i (init_value i)
-    done;
-    Flat a
-  end
+  let a = Array.create_float n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set a i (init_value i)
+  done;
+  a
 
-(* Plain summation loops with an unboxed accumulator: the fold/init
-   closures the previous versions used boxed every element on the
-   Bigarray path, which dominated the post-run bookkeeping at bench
-   sizes. *)
-let checksum = function
-  | Flat a ->
-      let acc = ref 0.0 in
-      for i = 0 to Array.length a - 1 do
-        acc := !acc +. Array.unsafe_get a i
-      done;
-      !acc
-  | Big a ->
-      let acc = ref 0.0 in
-      for i = 0 to Bigarray.Array1.dim a - 1 do
-        acc := !acc +. Bigarray.Array1.unsafe_get a i
-      done;
-      !acc
+(* A plain summation loop with an unboxed accumulator. *)
+let checksum (a : storage) =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    acc := !acc +. Array.unsafe_get a i
+  done;
+  !acc
 
-let to_float_array = function
-  | Flat a -> Array.copy a
-  | Big a ->
-      let n = Bigarray.Array1.dim a in
-      if n = 0 then [||]
-      else begin
-        let out = Array.make n 0.0 in
-        for i = 0 to n - 1 do
-          Array.unsafe_set out i (Bigarray.Array1.unsafe_get a i)
-        done;
-        out
-      end
+let to_float_array = Array.copy
 
 let[@inline] addr (r : cref) (p : int array) =
   let a = ref r.c in
@@ -134,7 +99,7 @@ let[@inline] addr (r : cref) (p : int array) =
 
 (* The loop body at one iteration point: load every read, combine, then
    store through every write-like reference. *)
-let[@inline] exec_flat c (data : float array) (p : int array) =
+let[@inline] exec_point c (data : storage) (p : int array) =
   let acc = ref 0.0 in
   let reads = c.reads in
   for i = 0 to Array.length reads - 1 do
@@ -149,36 +114,6 @@ let[@inline] exec_flat c (data : float array) (p : int array) =
       Array.unsafe_set data a (Array.unsafe_get data a +. v)
     else Array.unsafe_set data a v
   done
-
-let[@inline] exec_big c data (p : int array) =
-  let acc = ref 0.0 in
-  let reads = c.reads in
-  for i = 0 to Array.length reads - 1 do
-    acc :=
-      !acc
-      +. Bigarray.Array1.unsafe_get data (addr (Array.unsafe_get reads i) p)
-  done;
-  let v = !acc +. 1.0 in
-  let writes = c.writes in
-  for i = 0 to Array.length writes - 1 do
-    let r, accumulate = Array.unsafe_get writes i in
-    let a = addr r p in
-    if accumulate then
-      Bigarray.Array1.unsafe_set data a (Bigarray.Array1.unsafe_get data a +. v)
-    else Bigarray.Array1.unsafe_set data a v
-  done
-
-let exec_point c storage =
-  match storage with
-  | Flat data -> fun p -> exec_flat c data p
-  | Big data -> fun p -> exec_big c data p
-
-let view = function Flat a -> `Flat a | Big a -> `Big a
-
-let poke storage a v =
-  match storage with
-  | Flat data -> data.(a) <- v
-  | Big data -> Bigarray.Array1.set data a v
 
 let plain_write_addresses c (p : int array) =
   Array.to_list c.writes
@@ -203,6 +138,30 @@ let iter_box (b : (int * int) array) f =
 
 let box_volume (b : (int * int) array) =
   Array.fold_left (fun acc (lo, hi) -> acc * max 0 (hi - lo + 1)) 1 b
+
+(* The one in-space test behind every unchecked load and store: a box of
+   the space's arity that is empty or lies inside [bounds]. *)
+let in_space bounds (b : (int * int) array) =
+  Array.length b = Array.length bounds
+  && (Array.exists (fun (lo, hi) -> hi < lo) b
+     || Array.for_all2
+          (fun (lo, hi) (blo, bhi) -> blo <= lo && hi <= bhi)
+          b bounds)
+
+(* The smallest box holding every point (empty when there are none): a
+   point list lies in a space exactly when this box does. *)
+let bounding_box d (pts : Ivec.t array) =
+  let lo = Array.make d max_int and hi = Array.make d min_int in
+  Array.iter
+    (fun (p : Ivec.t) ->
+      if Array.length p <> d then invalid_arg "Exec: point arity mismatch";
+      Array.iteri
+        (fun k v ->
+          lo.(k) <- Int.min lo.(k) v;
+          hi.(k) <- Int.max hi.(k) v)
+        p)
+    pts;
+  Array.init d (fun k -> (lo.(k), hi.(k)))
 
 (* Inclusive address interval of a compiled reference over a box (so,
    over the iteration space, over every tile box a fortiori). *)
@@ -401,9 +360,11 @@ let one_pass ?(trace = Trace.disabled) pool work ~steps ~visit ~seconds
       seconds.(p) <- Mclock.now () -. t0;
       iterations.(p) <- !mine)
 
-let check_work pool work =
+(* The body's loads and stores are unchecked, so work reaching outside
+   the iteration space is refused before any of it runs. *)
+let check_work pool c work =
   let n = Pool.size pool in
-  match work with
+  (match work with
   | Static a when Array.length a <> n ->
       invalid_arg
         (Printf.sprintf "Exec: %d-domain pool given %d-way static work" n
@@ -421,7 +382,21 @@ let check_work pool work =
       invalid_arg
         (Printf.sprintf "Exec: %d-domain pool given %d-way queues" n
            (Array.length queues))
-  | Static _ | Dynamic _ | Steal _ -> ()
+  | Static _ | Dynamic _ | Steal _ -> ());
+  let bounds = Nest.bounds c.nest in
+  let check_box b =
+    if not (in_space bounds b) then
+      invalid_arg "Exec: work outside the iteration space"
+  in
+  let check_points pts = check_box (bounding_box (Array.length bounds) pts) in
+  match work with
+  | Static per_domain -> Array.iter check_points per_domain
+  | Tiled { tiles; _ } ->
+      Array.iter
+        (function Box b -> check_box b | Points pts -> check_points pts)
+        tiles
+  | Dynamic { points; _ } -> check_points points
+  | Steal { queues; _ } -> Array.iter check_points queues
 
 type instrumented = {
   footprints : int array;
@@ -433,7 +408,7 @@ type instrumented = {
 }
 
 let measure pool c work ~steps ~mode =
-  check_work pool work;
+  check_work pool c work;
   let nprocs = Pool.size pool in
   let universe = total_elements c in
   let storage = alloc c in
@@ -458,33 +433,40 @@ let measure pool c work ~steps ~mode =
     buffer = to_float_array storage;
   }
 
-let time ?trace pool c work ~steps ~repeats =
-  check_work pool work;
-  if repeats < 1 then invalid_arg "Exec.time: repeats < 1";
-  let nprocs = Pool.size pool in
+let best_of_repeats c ~nprocs ~repeats pass =
+  if repeats < 1 then invalid_arg "Exec.best_of_repeats: repeats < 1";
   let best_wall = ref infinity in
   let best_seconds = Array.make nprocs 0.0 in
   let best_iterations = Array.make nprocs 0 in
+  let best_checksum = ref 0.0 in
   for _rep = 1 to repeats do
     let storage = alloc c in
-    let run_body = exec_point c storage in
     let seconds = Array.make nprocs 0.0 in
     let iterations = Array.make nprocs 0 in
-    let visit _p point = run_body point in
     let t0 = Mclock.now () in
-    one_pass ?trace pool work ~steps ~visit ~seconds ~iterations;
+    pass storage ~seconds ~iterations;
     let wall = Mclock.now () -. t0 in
-    ignore (Sys.opaque_identity (checksum storage));
+    let sum = checksum storage in
     if wall < !best_wall then begin
       best_wall := wall;
       Array.blit seconds 0 best_seconds 0 nprocs;
-      Array.blit iterations 0 best_iterations 0 nprocs
+      Array.blit iterations 0 best_iterations 0 nprocs;
+      best_checksum := sum
     end
   done;
-  (!best_wall, best_seconds, best_iterations)
+  (!best_wall, best_seconds, best_iterations, !best_checksum)
+
+let time ?trace pool c work ~steps ~repeats =
+  check_work pool c work;
+  best_of_repeats c ~nprocs:(Pool.size pool) ~repeats
+    (fun storage ~seconds ~iterations ->
+      let run_body = exec_point c storage in
+      one_pass ?trace pool work ~steps
+        ~visit:(fun _p point -> run_body point)
+        ~seconds ~iterations)
 
 let run ?(trace = Trace.disabled) pool c work ~steps ~repeats ~mode =
-  let wall, seconds, iterations = time ~trace pool c work ~steps ~repeats in
+  let wall, seconds, iterations, _ = time ~trace pool c work ~steps ~repeats in
   let inst = measure pool c work ~steps ~mode in
   (* The instrumented pass runs untraced (its observation cost is not
      representative), but its footprints feed the bytes-touched

@@ -25,16 +25,12 @@ type cref = { c : int; m : int array }
     strength-reduction fact {!Kernel} builds its incremental-address
     loops on. *)
 
-val compile : ?bigarray:bool -> Nest.t -> compiled
-(** Build the layout and index functions.  With [bigarray] the operand
-    space is one [Bigarray.Array1] of float64 (off the OCaml heap, so
-    domains share it with no GC write barriers); the default is a plain
-    [float array]. *)
+val compile : Nest.t -> compiled
+(** Build the layout and index functions. *)
 
 val nest : compiled -> Nest.t
 val layout : compiled -> Machine.Layout.t
 val total_elements : compiled -> int
-val is_bigarray : compiled -> bool
 
 val reads : compiled -> cref array
 (** The compiled read references, in body order. *)
@@ -56,32 +52,27 @@ val address : compiled -> Reference.t -> Ivec.t -> int
 
 (** {2 Raw storage access}
 
-    The resilient executor ({!Resilient}) drives tiles itself instead of
-    going through {!measure}/{!time}, so it needs the operand buffer and
-    the per-point body as first-class values. *)
+    The resilient executor ({!Resilient}) and the kernel backend
+    ({!Kernel}) drive tiles themselves instead of going through
+    {!measure}/{!time}, so they need the operand buffer and the
+    per-point body as first-class values. *)
 
-type storage
+type storage = float array
+(** The whole operand space, one element per flat address of the
+    {!layout}. *)
 
 val alloc : compiled -> storage
 (** Fresh operands with the deterministic initial values every execution
     path (including {!sequential}) starts from. *)
 
 val exec_point : compiled -> storage -> Ivec.t -> unit
-(** The loop body at one iteration point.  Partial application to the
-    storage compiles the dispatch once. *)
+(** The loop body at one iteration point.  Its loads and stores are
+    unchecked: the point must lie in the nest's iteration space. *)
 
 val checksum : storage -> float
+
 val to_float_array : storage -> float array
-
-val view :
-  storage ->
-  [ `Flat of float array
-  | `Big of (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t ]
-(** The underlying buffer, for backends ({!Kernel}) that emit their own
-    specialized loops over it. *)
-
-val poke : storage -> int -> float -> unit
-(** Overwrite one element - the corruption the [Corrupt] fault injects. *)
+(** A copy of the operands. *)
 
 val plain_write_addresses : compiled -> Ivec.t -> int list
 (** Addresses stored through non-accumulate writes at an iteration (the
@@ -108,6 +99,11 @@ val iter_box : (int * int) array -> (Ivec.t -> unit) -> unit
     nothing. *)
 
 val box_volume : (int * int) array -> int
+
+val in_space : (int * int) array -> (int * int) array -> bool
+(** [in_space bounds b]: the box [b] has the arity of the space [bounds]
+    and is empty or lies inside it - the one test that guards the
+    unchecked loads and stores of {!exec_point} and {!Kernel}. *)
 
 val addr_interval : cref -> (int * int) array -> int * int
 (** Inclusive range of the addresses a reference touches over a box:
@@ -159,7 +155,23 @@ type instrumented = {
 
 val measure :
   Pool.t -> compiled -> work -> steps:int -> mode:Measure.mode -> instrumented
-(** One instrumented (untimed) execution on fresh operands. *)
+(** One instrumented (untimed) execution on fresh operands.  {!measure},
+    {!time} and {!run} raise [Invalid_argument] before running anything
+    when the work does not fit the pool, or holds a box tile or a point
+    outside the nest's iteration space ({!in_space}). *)
+
+val best_of_repeats :
+  compiled ->
+  nprocs:int ->
+  repeats:int ->
+  (storage -> seconds:float array -> iterations:int array -> unit) ->
+  float * float array * int array * float
+(** [best_of_repeats c ~nprocs ~repeats pass] calls [pass] [repeats]
+    times, each on fresh operands and per-domain result arrays, and
+    returns [(wall, per_domain_seconds, per_domain_iterations,
+    checksum)] of the fastest call (minimum-of-N wall-clock on
+    {!Mclock}); [checksum] is {!checksum} of that call's final
+    operands.  The timing loop of {!time} and {!Kernel.time}. *)
 
 val time :
   ?trace:Trace.t ->
@@ -168,11 +180,10 @@ val time :
   work ->
   steps:int ->
   repeats:int ->
-  float * float array * int array
-(** [(wall, per_domain_seconds, per_domain_iterations)] of the fastest
-    of [repeats] uninstrumented executions (minimum-of-N wall-clock,
-    all timestamps on {!Mclock}).  A live [trace] records barrier
-    waits, steps, and tile/chunk claims of {e every} repeat. *)
+  float * float array * int array * float
+(** {!best_of_repeats} over uninstrumented executions of the work.  A
+    live [trace] records barrier waits, steps, and tile/chunk claims of
+    {e every} repeat. *)
 
 val run :
   ?trace:Trace.t ->

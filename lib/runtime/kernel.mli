@@ -2,12 +2,12 @@
     inner loops instead of interpreting the body point by point.
 
     {!Exec} pays, at {e every} iteration, one [c + m . i] multiply-add
-    per reference plus a dispatch through the storage representation.
-    But over a rectangular tile box the address of a compiled reference
-    ({!Exec.cref}) changes by the compile-time constant [m.(k)] per unit
-    step along axis [k].  A plan therefore precomputes the per-axis
-    address deltas once, seeds one running address per reference at the
-    box corner, and executes the box with incremental bumps only - plus:
+    per reference.  But over a rectangular tile box the address of a
+    compiled reference ({!Exec.cref}) changes by the compile-time
+    constant [m.(k)] per unit step along axis [k].  A plan therefore
+    precomputes the per-axis address deltas once, seeds one running
+    address per reference at the box corner, and executes the box with
+    incremental bumps only - plus:
 
     - {b traversal order}: when a conservative safety analysis proves
       reordering bit-exact (injective write maps, at most one
@@ -15,10 +15,11 @@
       besides identical maps), the axis with the most unit-stride
       references is rotated innermost so the inner loop walks arrays
       contiguously;
-    - {b shape specialization}: the dominant body arities - 1-read
-      copy, 5-point stencil, 2-read accumulate (matmul) - get
-      hand-specialized unsafe loops over the concrete storage, with a
-      generic bumped-address loop as the always-correct fallback.
+    - {b shape specialization}: a 1-read copy and a 5-point stencil get
+      hand-specialized unsafe loops over the operand array; every other
+      body (matmul's 2-read accumulate included) runs the generic
+      bumped-address loop, unrolled for single-write bodies of 2 to 5
+      reads.
 
     Value semantics are the interpreter's, bit for bit: reads summed in
     body order, [+. 1.0], the result stored or added through every
@@ -52,8 +53,7 @@ val reorderable : plan -> bool
     whose reads overlap their writes are the canonical [false]. *)
 
 val shape : plan -> string
-(** The specialization picked: ["copy"], ["stencil5"], ["accumulate3"],
-    or ["generic"]. *)
+(** The specialization picked: ["copy"], ["stencil5"] or ["generic"]. *)
 
 val strides : plan -> (Reference.t * int array) list
 (** Each body reference with its per-axis address deltas [m] (original
@@ -98,10 +98,8 @@ val time :
   steps:int ->
   repeats:int ->
   float * float array * int array * float
-(** [(wall, per_domain_seconds, per_domain_iterations, checksum)] of
-    the fastest of [repeats] runs, each on fresh operands - the
-    kernel-path analogue of {!Exec.time}.  [checksum] is
-    {!Exec.checksum} of that run's final operands. *)
+(** {!Exec.best_of_repeats} over {!one_pass} runs - the kernel-path
+    analogue of {!Exec.time}. *)
 
 val footprints :
   Pool.t -> plan -> boxes:box array array -> mode:Measure.mode -> Measure.touched array

@@ -334,7 +334,7 @@ let run_tile ?(kind = Trace.Tile) ctx ds ~step t =
         | Fault.Crash -> raise Injected_crash
         | Fault.Corrupt ->
             (match corrupt_target ctx t with
-            | Some a -> Exec.poke ctx.storage a Float.nan
+            | Some a -> ctx.storage.(a) <- Float.nan
             | None -> ());
             raise Injected_corruption
         | Fault.Stall ms -> interruptible_stall ctx ms));

@@ -366,6 +366,50 @@ let test_dynamic_policies_execute_everything () =
     [ Driver.Cyclic; Driver.Block_cyclic 7; Driver.Guided;
       Driver.Work_steal 5 ]
 
+(* The interpreter's loads and stores are unchecked, so work reaching
+   outside the iteration space must be refused before it runs: a tile
+   box far beyond stencil5's 164-element universe would otherwise
+   write past the operand array.  Each work shape is checked, through
+   every entry point, and an in-space box still runs. *)
+let test_out_of_space_work_rejected () =
+  let open Runtime in
+  let compiled = Exec.compile (Programs.stencil5 ~n:8 ()) in
+  let outside = [| (1, 400); (1, 400) |] and inside = [| (1, 8); (1, 8) |] in
+  let tiled tile = Exec.Tiled { tiles = [| tile |]; owners = [| 0 |] } in
+  let steps = 1 and repeats = 1 and mode = Measure.Exact in
+  Pool.with_pool 1 (fun pool ->
+      let entry_points work =
+        let c = compiled in
+        [
+          ("time", fun () -> ignore (Exec.time pool c work ~steps ~repeats));
+          ("measure", fun () -> ignore (Exec.measure pool c work ~steps ~mode));
+          ("run", fun () -> ignore (Exec.run pool c work ~steps ~repeats ~mode));
+        ]
+      in
+      List.iter
+        (fun (what, work) ->
+          List.iter
+            (fun (entry, f) ->
+              checkb (Printf.sprintf "%s %s raises" what entry) true
+                (raises_invalid f))
+            (entry_points work))
+        [
+          ("box tile", tiled (Exec.Box outside));
+          ("points tile", tiled (Exec.Points [| [| 3; 0 |] |]));
+          ("static point", Exec.Static [| [| [| 1; 1 |]; [| 9; 1 |] |] |]);
+          ( "dynamic point",
+            Exec.Dynamic
+              { points = [| [| 1; 400 |] |]; chunk = (fun ~remaining:_ -> 1) } );
+          ( "steal point",
+            Exec.Steal { queues = [| [| [| -5; 2 |] |] |]; chunk = 1 } );
+          ("short point", Exec.Static [| [| [| 1 |] |] |]);
+        ];
+      let r =
+        Exec.measure pool compiled (tiled (Exec.Box inside)) ~steps ~mode
+      in
+      check "the in-space box still runs" 64
+        (Array.fold_left ( + ) 0 r.Exec.iterations))
+
 (* ------------------------------------------------------------------ *)
 (* Codegen.load_balance regression (satellite)                         *)
 (* ------------------------------------------------------------------ *)
@@ -427,6 +471,8 @@ let () =
             test_reduction_contention_is_reported;
           Alcotest.test_case "dynamic policies execute everything" `Quick
             test_dynamic_policies_execute_everything;
+          Alcotest.test_case "out-of-space work rejected" `Quick
+            test_out_of_space_work_rejected;
         ] );
       ( "codegen regression",
         [
