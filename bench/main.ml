@@ -1039,29 +1039,27 @@ let e22 () =
     let a = Driver.analyze ~nprocs nest in
     let sched = Driver.schedule a in
     let compiled = Runtime.Exec.compile nest in
+    let work =
+      let p = Runtime.Resilient.tiles_of_schedule sched in
+      Runtime.Exec.Tiled
+        { tiles = p.Runtime.Resilient.tiles; owners = p.Runtime.Resilient.owners }
+    in
     let iterations = steps * Array.fold_left ( * ) 1 (Nest.extents nest) in
     let wall =
       Runtime.Pool.with_pool nprocs (fun pool ->
-          let once =
+          let runner =
             match path with
-            | `Interp ->
-                let work =
-                  Runtime.Exec.static_of_assignment
-                    (Scheduling.of_schedule sched)
-                in
-                fun () ->
-                  let w, _, _, _ =
-                    Runtime.Exec.time pool compiled work ~steps ~repeats:1
-                  in
-                  w
+            | `Interp -> None
             | `Kernel force_generic ->
-                let plan = Runtime.Kernel.plan ~force_generic compiled in
-                let boxes = Runtime.Kernel.boxes_of_schedule sched in
-                fun () ->
-                  let w, _, _, _ =
-                    Runtime.Kernel.time pool plan ~boxes ~steps ~repeats:1
-                  in
-                  w
+                Some
+                  (Runtime.Kernel.run_tile
+                     (Runtime.Kernel.plan ~force_generic compiled))
+          in
+          let once () =
+            let w, _, _, _ =
+              Runtime.Exec.time ?runner pool compiled work ~steps ~repeats:1
+            in
+            w
           in
           median_of ~warmup:1 ~samples:trials once)
     in

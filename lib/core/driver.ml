@@ -71,87 +71,28 @@ let policy_name = function
    schedulers grab chunks from. *)
 let lex_points nest = Array.of_list (Scheduling.cyclic nest ~nprocs:1).(0)
 
-(* The kernel path: time the specialized strided loops over the tile
-   boxes and report that run's iterations and checksum, with footprints
-   from the references' strided address runs over the same boxes - no
-   iteration point is ever listed. *)
-let execute_kernels ~config ~sched a =
-  let nest = a.nest in
-  let per_tile = Cost.misses_per_tile a.cost sched.Codegen.tile in
-  let tiles_per_proc =
-    Intmath.Int_math.ceil_div (Codegen.num_tiles sched) a.nprocs
-  in
-  let predicted = per_tile * tiles_per_proc in
-  let compiled = Runtime.Exec.compile nest in
-  let plan = Runtime.Kernel.plan compiled in
-  let boxes = Runtime.Kernel.boxes_of_schedule sched in
-  let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
-  let trace = trace_of config in
-  let raw =
-    Runtime.Pool.with_pool a.nprocs (fun pool ->
-        let wall, seconds, iterations, checksum =
-          Runtime.Kernel.time ~trace pool plan ~boxes ~steps
-            ~repeats:config.repeats
-        in
-        let touched =
-          Runtime.Kernel.footprints pool plan ~boxes ~mode:config.footprint
-        in
-        let footprints = Array.map Runtime.Measure.touched_count touched in
-        Array.iteri
-          (fun p f ->
-            Runtime.Trace.add trace p Runtime.Trace.Elements_touched f)
-          footprints;
-        {
-          Runtime.Measure.wall_seconds = wall;
-          seconds;
-          iterations;
-          footprints;
-          exact_footprints = Array.for_all Runtime.Measure.is_exact touched;
-          distinct_total = Runtime.Measure.union_count touched;
-          checksum;
-        })
-  in
-  Runtime.Measure.report ~name:nest.Nest.name
-    ~policy:
-      (Printf.sprintf "compile-time tiles + %s kernel"
-         (Runtime.Kernel.shape plan))
-    ~steps ~repeats:config.repeats
-    ~total_elements:(Runtime.Exec.total_elements compiled)
-    ~predicted_per_domain:predicted raw
-
+(* Every policy takes one path: build the work, run it, report.  The
+   compile-time tiles run on the kernels when asked, else on the
+   interpreter; the run-time schedulers always interpret. *)
 let execute ?(config = default_exec_config) ?tile a =
   let nest = a.nest in
   let sched = schedule ?tile a in
-  let kernel_capable =
-    config.kernels && config.policy = Tiled
-    && match sched.Codegen.tile with Tile.Rect _ -> true | Tile.Pped _ -> false
-  in
-  if kernel_capable then execute_kernels ~config ~sched a
-  else
+  let compiled = Runtime.Exec.compile nest in
   let work, predicted =
     match config.policy with
     | Tiled ->
+        let p = Runtime.Resilient.tiles_of_schedule sched in
         let per_tile = Cost.misses_per_tile a.cost sched.Codegen.tile in
         let tiles_per_proc =
-          Intmath.Int_math.ceil_div (Codegen.num_tiles sched) a.nprocs
+          Intmath.Int_math.ceil_div (Array.length p.Runtime.Resilient.tiles)
+            a.nprocs
         in
-        let work =
-          match config.trace with
-          | Some tr when Runtime.Trace.enabled tr ->
-              (* A traced run keeps the tile-granular work list so each
-                 tile gets its own span; the untraced path stays on the
-                 flattened static assignment (identical iteration order,
-                 no per-tile dispatch). *)
-              let p = Runtime.Resilient.tiles_of_schedule sched in
-              Runtime.Exec.Tiled
-                {
-                  tiles = p.Runtime.Resilient.tiles;
-                  owners = p.Runtime.Resilient.owners;
-                }
-          | Some _ | None ->
-              Runtime.Exec.static_of_assignment (Scheduling.of_schedule sched)
-        in
-        (work, Some (per_tile * tiles_per_proc))
+        ( Runtime.Exec.Tiled
+            {
+              tiles = p.Runtime.Resilient.tiles;
+              owners = p.Runtime.Resilient.owners;
+            },
+          Some (per_tile * tiles_per_proc) )
     | Work_steal chunk ->
         ( Runtime.Exec.queues_of_assignment
             (Scheduling.of_schedule sched)
@@ -176,16 +117,31 @@ let execute ?(config = default_exec_config) ?tile a =
            },
          None)
   in
-  let compiled = Runtime.Exec.compile nest in
+  let kernel =
+    if config.kernels && config.policy = Tiled then
+      Some (Runtime.Kernel.plan compiled)
+    else None
+  in
   let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
   let raw =
     Runtime.Pool.with_pool a.nprocs (fun pool ->
-        Runtime.Exec.run ~trace:(trace_of config) pool compiled work ~steps
-          ~repeats:config.repeats ~mode:config.footprint)
+        Runtime.Exec.run ~trace:(trace_of config)
+          ?runner:(Option.map Runtime.Kernel.run_tile kernel)
+          pool compiled work ~steps ~repeats:config.repeats
+          ~mode:config.footprint)
   in
-  Runtime.Measure.report ~name:nest.Nest.name
-    ~policy:(policy_name config.policy)
-    ~steps ~repeats:config.repeats
+  (* Only a rectangular schedule runs every tile on the kernel; a
+     parallelepiped one keeps its ragged tiles interpreted, and its
+     label. *)
+  let policy =
+    match (kernel, sched.Codegen.tile) with
+    | Some plan, Tile.Rect _ ->
+        Printf.sprintf "compile-time tiles + %s kernel"
+          (Runtime.Kernel.shape plan)
+    | _ -> policy_name config.policy
+  in
+  Runtime.Measure.report ~name:nest.Nest.name ~policy ~steps
+    ~repeats:config.repeats
     ~total_elements:(Runtime.Exec.total_elements compiled)
     ?predicted_per_domain:predicted raw
 
@@ -222,8 +178,16 @@ let simulate_aligned ?tile ?(geometry = Cache.Infinite) a =
     }
 
 let report ppf a =
+  (* [Nest.pp] flushes after each line, which would close this report's
+     vertical box and run the later sections together; print its lines
+     as cuts instead. *)
+  let nest_lines =
+    String.split_on_char '\n' (String.trim (Nest.to_string a.nest))
+  in
   Format.fprintf ppf "@[<v>=== %s on %d processors ===@,@,%a@,@,"
-    a.nest.Nest.name a.nprocs Nest.pp a.nest;
+    a.nest.Nest.name a.nprocs
+    (Format.pp_print_list Format.pp_print_string)
+    nest_lines;
   Format.fprintf ppf "%a@,@," Cost.pp a.cost;
   Format.fprintf ppf "--- rectangular partition ---@,%a@,@,"
     Rectangular.pp_result a.rect;

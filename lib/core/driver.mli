@@ -59,30 +59,32 @@ type exec_config = {
   steps : int option;  (** override the outer [Doseq] trip count *)
   footprint : Runtime.Measure.mode;
   kernels : bool;
-      (** lower tiles to {!Runtime.Kernel}'s specialized strided loops
-          instead of interpreting point by point; effective for the
-          [Tiled] policy over rectangular tiles (other policies and
-          parallelepiped tiles keep the interpreter), and for
-          {!execute_resilient}'s box tiles *)
+      (** run box tiles on {!Runtime.Kernel}'s specialized strided loops
+          instead of interpreting them point by point: every tile of a
+          rectangular schedule, the box-shaped tile groups of a
+          parallelepiped one (its ragged tiles stay interpreted), under
+          the [Tiled] policy and in {!execute_resilient}; the run-time
+          scheduling policies always interpret *)
   trace : Runtime.Trace.t option;
       (** record per-domain spans and counters into this recorder during
           the timed passes (size it for [analysis.nprocs]); under the
-          [Tiled] policy the traced run executes the tile-granular work
-          list so every tile gets its own span *)
+          [Tiled] policy every tile gets its own span *)
 }
 
 val default_exec_config : exec_config
 (** [Tiled], 3 repeats, the nest's own step count, [Auto] footprints,
-    [float array] operands, interpreter (no kernels), no trace. *)
+    interpreter (no kernels), no trace. *)
 
 val execute :
   ?config:exec_config -> ?tile:Tile.t -> analysis -> Runtime.Measure.report
 (** Execute the nest on [analysis.nprocs] domains and measure per-domain
     wall-clock, iterations and distinct-elements footprints, alongside
-    the Theorem 2/4 prediction when the policy is [Tiled].  With
-    [config.kernels] the timed pass runs the lowered kernels; the
-    instrumented footprint pass (identical iteration sets) stays on the
-    interpreter. *)
+    the Theorem 2/4 prediction when the policy is [Tiled].  One path for
+    every policy: build the work, {!Runtime.Exec.run} it, report.  Under
+    [Tiled] the work is {!Runtime.Resilient.tiles_of_schedule}'s tiles,
+    run on the interpreter or, with [config.kernels], on
+    {!Runtime.Kernel.run_tile}; their footprints come from the tiles
+    ({!Runtime.Exec.footprints}), with no second execution. *)
 
 val execute_resilient :
   ?config:exec_config ->

@@ -16,7 +16,9 @@ let make nest tile ~nprocs =
   let origin = Array.map fst (Nest.bounds nest) in
   { nest; tile; nprocs; origin }
 
-let tile_id s (i : Ivec.t) = Tile.tile_coords s.tile (Ivec.sub i s.origin)
+let tile_id s =
+  let coords = Tile.tile_coords s.tile in
+  fun (i : Ivec.t) -> coords (Ivec.sub i s.origin)
 
 (* Bounding box of tile coordinates, derived from the iteration-space
    corners: tile coordinates are the floor of a linear map, so corner
@@ -31,9 +33,10 @@ let coord_box s =
       corners (k + 1) (lo :: acc) @ corners (k + 1) (hi :: acc)
   in
   let lo = Array.make n max_int and hi = Array.make n min_int in
+  let id = tile_id s in
   List.iter
     (fun c ->
-      let t = tile_id s c in
+      let t = id c in
       Array.iteri
         (fun k v ->
           if v < lo.(k) then lo.(k) <- v;
@@ -42,22 +45,22 @@ let coord_box s =
     (corners 0 []);
   (lo, hi)
 
-let linearize s =
+let tile_index s =
   let lo, hi = coord_box s in
   let radix = Array.mapi (fun k h -> h - lo.(k) + 1) hi in
-  fun coords ->
+  let id = tile_id s in
+  fun i ->
     let acc = ref 0 in
-    Array.iteri
-      (fun k c -> acc := (!acc * radix.(k)) + (c - lo.(k)))
-      coords;
+    Array.iteri (fun k c -> acc := (!acc * radix.(k)) + (c - lo.(k))) (id i);
     !acc
 
-(* Partial application [owner s] precomputes the coordinate box; reuse the
-   closure when classifying many iterations. *)
+(* Partial application [owner s] precomputes the coordinate box and the
+   inverse tile matrix; reuse the closure when classifying many
+   iterations. *)
 let owner s =
-  let lin = linearize s in
+  let index = tile_index s in
   fun i ->
-    let t = lin (tile_id s i) mod s.nprocs in
+    let t = index i mod s.nprocs in
     if t < 0 then t + s.nprocs else t
 
 let num_tiles s =
@@ -72,9 +75,9 @@ let num_tiles s =
       let bounds = Nest.bounds s.nest in
       let n = Array.length bounds in
       let point = Array.make n 0 in
+      let index = tile_index s in
       let rec scan k =
-        if k = n then
-          Hashtbl.replace seen (Array.to_list (tile_id s point)) ()
+        if k = n then Hashtbl.replace seen (index point) ()
         else
           let lo, hi = bounds.(k) in
           for v = lo to hi do

@@ -22,10 +22,17 @@ type schedule = private {
 val make : Nest.t -> Tile.t -> nprocs:int -> schedule
 
 val tile_id : schedule -> Ivec.t -> int array
-(** Tile coordinates of an iteration (relative to the origin). *)
+(** Tile coordinates of an iteration (relative to the origin).  Partial
+    application inverts the tile matrix once. *)
+
+val tile_index : schedule -> Ivec.t -> int
+(** The tile coordinates linearized into one non-negative integer over
+    the bounding box of the space's tile coordinates: distinct tiles get
+    distinct indices.  Partial application precomputes that box. *)
 
 val owner : schedule -> Ivec.t -> int
-(** Processor that executes the iteration. *)
+(** Processor that executes the iteration: [tile_index mod nprocs].
+    Partial application precomputes {!tile_index}. *)
 
 val num_tiles : schedule -> int
 (** Number of distinct tiles covering the iteration space (exact for

@@ -251,7 +251,7 @@ let optimize cost ~nprocs =
                   continuous_cost;
                   rounded_cost;
                   rect_cost = rect;
-                  improves_on_rect = continuous_cost < rect -. 1e-6;
+                  improves_on_rect = rounded_cost < rect -. 1e-6;
                 }))
 
 let pp_result ppf r =

@@ -30,22 +30,42 @@ let volume t = Rat.abs (Qmat.det (l_matrix t))
 
 (* Half-open tile coordinates: the partition of the iteration space into
    translated copies of the tile assigns point [i] to the integer vector
-   [floor(i * L^-1)]. *)
-let tile_coords t (point : Ivec.t) =
+   [floor(i * L^-1)].  Partial application inverts [L] once, scaled to
+   integers by [d = |det L|], so each point costs integer multiply-adds
+   and one floor division per coordinate. *)
+let tile_coords t =
   match t with
   | Rect s ->
-      if Array.length point <> Array.length s then
-        invalid_arg "Tile.tile_coords: dimension mismatch";
-      Array.mapi (fun k x -> Int_math.floor_div x s.(k)) point
+      fun (point : Ivec.t) ->
+        if Array.length point <> Array.length s then
+          invalid_arg "Tile.tile_coords: dimension mismatch";
+        Array.mapi (fun k x -> Int_math.floor_div x s.(k)) point
   | Pped l -> (
       match Qmat.inv (Qmat.of_imat l) with
       | None -> assert false (* checked at construction *)
       | Some inv ->
-          let coords = Qmat.mul_row (Array.map Rat.of_int point) inv in
-          Array.map Rat.floor coords)
+          (* [L^-1 = adj L / det L], so [|det L| L^-1] is integral. *)
+          let n = Imat.rows l and d = abs (Imat.det l) in
+          let m =
+            Array.init n (fun i ->
+                Array.init n (fun j ->
+                    Rat.to_int_exn (Rat.mul (Rat.of_int d) (Qmat.get inv i j))))
+          in
+          fun (point : Ivec.t) ->
+            if Array.length point <> n then
+              invalid_arg "Tile.tile_coords: dimension mismatch";
+            Array.init n (fun j ->
+                let acc = ref 0 in
+                for i = 0 to n - 1 do
+                  acc :=
+                    Int_math.add_exact !acc
+                      (Int_math.mul_exact point.(i) m.(i).(j))
+                done;
+                Int_math.floor_div !acc d))
 
-let contains t point =
-  Array.for_all (fun c -> c = 0) (tile_coords t point)
+let contains t =
+  let coords = tile_coords t in
+  fun point -> Array.for_all (fun c -> c = 0) (coords point)
 
 let iterations t =
   match t with
@@ -75,9 +95,10 @@ let iterations t =
         (corners 0 (Ivec.zero n));
       let out = ref [] in
       let point = Array.make n 0 in
+      let inside = contains t in
       let rec scan k =
         if k = n then begin
-          if contains t point then out := Array.copy point :: !out
+          if inside point then out := Array.copy point :: !out
         end
         else
           for v = lo.(k) to hi.(k) do

@@ -39,7 +39,8 @@ val contains : t -> Ivec.t -> bool
 val tile_coords : t -> Ivec.t -> int array
 (** Which tile of the homogeneous partition contains the point: for
     rectangular tiles [floor(i_k / size_k)]; for general tiles
-    [floor(i L^-1)] component-wise. *)
+    [floor(i L^-1)] component-wise.  Partial application [tile_coords t]
+    inverts [L] once; apply it to many points. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

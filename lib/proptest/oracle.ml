@@ -173,6 +173,7 @@ let check_coverage (c : Gen.case) sched per_proc =
     fail "owner-cover" "schedules hold %d iterations, space has %d" total
       (Nest.iterations c.nest)
   else begin
+    let owner = Codegen.owner sched in
     let seen = Hashtbl.create (max 16 total) in
     let dup = ref None in
     let misowned = ref None in
@@ -183,7 +184,7 @@ let check_coverage (c : Gen.case) sched per_proc =
             let key = Array.to_list pt in
             if Hashtbl.mem seen key && !dup = None then dup := Some pt;
             Hashtbl.replace seen key ();
-            let o = Codegen.owner sched pt in
+            let o = owner pt in
             if o <> p && !misowned = None then misowned := Some (pt, p, o))
           pts)
       per_proc;
@@ -199,7 +200,7 @@ let check_coverage (c : Gen.case) sched per_proc =
         first_some
           (List.map
              (fun pt () ->
-               let o = Codegen.owner sched pt in
+               let o = owner pt in
                if o < 0 || o >= c.nprocs then
                  fail "owner-cover" "owner %s = %d outside 0..%d" (ivec_str pt)
                    o (c.nprocs - 1)
@@ -567,30 +568,32 @@ let check_kernel (c : Gen.case) =
 (* Oracle 9: implicit tiles agree with enumerated iteration points     *)
 (* ------------------------------------------------------------------ *)
 
-(* The kernel paths never list iteration points.  Each shortcut they
-   take instead is held to the enumerating code it replaced: strided
+(* The tiled paths, interpreted or lowered, never list the iteration
+   points of a rectangular schedule.  Each shortcut they take instead is held to the enumerating code it replaced: strided
    footprint runs to the interpreted instrumented pass, the interval
    test of re-execution safety to enumeration, and box tiles to the
    grouping of the schedule's point lists by tile. *)
 let check_implicit_tiles ~pools (c : Gen.case) sched by_proc
     (inst : Exec.instrumented) =
   let compiled = Exec.compile c.nest in
+  let part = Resilient.tiles_of_schedule sched in
   let footprints () =
     let touched =
-      Kernel.footprints
+      Exec.footprints
         (Pools.get pools c.nprocs)
-        (Kernel.plan compiled)
-        ~boxes:(Kernel.boxes_of_schedule sched)
+        compiled
+        (Exec.Tiled
+           { tiles = part.Resilient.tiles; owners = part.Resilient.owners })
         ~mode:Measure.Exact
     in
     let per = Array.map Measure.touched_count touched in
     if per <> inst.Exec.footprints then
       fail "implicit-tiles-agree"
-        "Kernel.footprints per domain %s but Exec.measure %s" (ivec_str per)
+        "Exec.footprints per domain %s but Exec.measure %s" (ivec_str per)
         (ivec_str inst.Exec.footprints)
     else if Measure.union_count touched <> inst.Exec.distinct_total then
       fail "implicit-tiles-agree"
-        "Kernel.footprints union %d but Exec.measure distinct_total %d"
+        "Exec.footprints union %d but Exec.measure distinct_total %d"
         (Measure.union_count touched) inst.Exec.distinct_total
     else None
   in
@@ -608,13 +611,14 @@ let check_implicit_tiles ~pools (c : Gen.case) sched by_proc
     else None
   in
   let tiles () =
+    let tile_id = Codegen.tile_id sched in
     let tbl = Hashtbl.create 64 in
     let rev_keys = ref [] in
     Array.iteri
       (fun p pts ->
         List.iter
           (fun pt ->
-            let key = (p, Array.to_list (Codegen.tile_id sched pt)) in
+            let key = (p, Array.to_list (tile_id pt)) in
             match Hashtbl.find_opt tbl key with
             | Some cell -> cell := pt :: !cell
             | None ->
@@ -625,18 +629,12 @@ let check_implicit_tiles ~pools (c : Gen.case) sched by_proc
     let want =
       List.rev_map (fun k -> (fst k, List.rev !(Hashtbl.find tbl k))) !rev_keys
     in
-    let part = Resilient.tiles_of_schedule sched in
     let got =
       List.mapi
         (fun t tile ->
-          let pts =
-            match tile with
-            | Exec.Box b ->
-                let acc = ref [] in
-                Exec.iter_box b (fun pt -> acc := Array.copy pt :: !acc);
-                List.rev !acc
-            | Exec.Points pts -> Array.to_list pts
-          in
+          let acc = ref [] in
+          Exec.iter_tile tile (fun pt -> acc := Array.copy pt :: !acc);
+          let pts = List.rev !acc in
           (part.Resilient.owners.(t), pts))
         (Array.to_list part.Resilient.tiles)
     in

@@ -21,9 +21,10 @@
       same tile boxes - including dependent-column nests and accumulate
       references, where traversal reordering would be unsound unless the
       plan's safety analysis forbids it;
-    - {b implicit-tiles-agree}: the kernel paths' shortcuts around point
+    - {b implicit-tiles-agree}: the tiled paths' shortcuts around point
       lists match the enumerating code they replace -
-      [Runtime.Kernel.footprints] equals [Runtime.Exec.measure]'s exact
+      [Runtime.Exec.footprints] over the box tiles equals
+      [Runtime.Exec.measure]'s exact
       per-domain and union footprints, an interval-test acceptance of
       [Runtime.Exec.reexecution_safe] is confirmed by enumeration, and
       [Runtime.Resilient.tiles_of_schedule]'s box tiles hold the same

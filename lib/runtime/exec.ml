@@ -136,8 +136,12 @@ let iter_box (b : (int * int) array) f =
   in
   go 0
 
+(* [hi < lo] is tested, not folded into [max 0 (hi - lo + 1)], which
+   wraps for the empty box [(max_int, min_int)] of {!bounding_box}. *)
 let box_volume (b : (int * int) array) =
-  Array.fold_left (fun acc (lo, hi) -> acc * max 0 (hi - lo + 1)) 1 b
+  Array.fold_left
+    (fun acc (lo, hi) -> if hi < lo then 0 else acc * (hi - lo + 1))
+    1 b
 
 (* The one in-space test behind every unchecked load and store: a box of
    the space's arity that is empty or lies inside [bounds]. *)
@@ -226,14 +230,26 @@ let observe_point c touched =
 
 type tile = Box of (int * int) array | Points of Ivec.t array
 
+let iter_tile tile f =
+  match tile with Box b -> iter_box b f | Points pts -> Array.iter f pts
+
+let tile_volume = function Box b -> box_volume b | Points pts -> Array.length pts
+
+type runner = storage -> tile -> unit
+
+let run_tile c storage tile = iter_tile tile (exec_point c storage)
+
 type work =
-  | Static of Ivec.t array array
   | Tiled of { tiles : tile array; owners : int array }
   | Dynamic of { points : Ivec.t array; chunk : remaining:int -> int }
   | Steal of { queues : Ivec.t array array; chunk : int }
 
 let static_of_assignment (a : Partition.Scheduling.assignment) =
-  Static (Array.map Array.of_list a)
+  Tiled
+    {
+      tiles = Array.map (fun pts -> Points (Array.of_list pts)) a;
+      owners = Array.init (Array.length a) Fun.id;
+    }
 
 let queues_of_assignment (a : Partition.Scheduling.assignment) ~chunk =
   Steal { queues = Array.map Array.of_list a; chunk }
@@ -248,36 +264,37 @@ let steps_of_nest ?override nest =
       | Some l -> l.Nest.upper - l.Nest.lower + 1
       | None -> 1)
 
-(* One execution of the whole nest ([steps] outer iterations) on the
-   pool.  [visit p point] performs the body; shared scheduling state is
-   reset by domain 0 between the two barriers that bracket each step.
-   With a live [trace], barrier waits and per-tile (or per-chunk)
-   claims become spans; the [Tiled] work shape exists so a traced
-   compile-time partition keeps its tile boundaries - [Static] work is
-   the same points with the tile structure flattened away. *)
-let one_pass ?(trace = Trace.disabled) pool work ~steps ~visit ~seconds
-    ~iterations =
+(* Tile ids by owning domain, each domain's in tile-id order. *)
+let tiles_by_owner ~nprocs owners =
+  let by = Array.make nprocs [] in
+  for t = Array.length owners - 1 downto 0 do
+    by.(owners.(t)) <- t :: by.(owners.(t))
+  done;
+  Array.map Array.of_list by
+
+(* The one step loop: [steps] outer iterations of the work on the pool.
+   Domain [p] runs each of its tiles with [run_tile p] and each point of
+   a claimed chunk with [visit p]; shared scheduling state is reset by
+   domain 0 between the two barriers that bracket each step.  With a
+   live [trace], barrier waits and per-tile (or per-chunk) claims become
+   spans. *)
+let step_loop ?(trace = Trace.disabled) pool work ~steps ~run_tile ~visit
+    ~seconds ~iterations =
   let counter =
     match work with
     | Dynamic { points; _ } -> Some (Pool.Counter.create ~total:(Array.length points))
-    | Static _ | Tiled _ | Steal _ -> None
+    | Tiled _ | Steal _ -> None
   in
   let deques =
     match work with
     | Steal { queues; _ } ->
         Some (Pool.Deques.create ~lengths:(Array.map Array.length queues))
-    | Static _ | Tiled _ | Dynamic _ -> None
+    | Tiled _ | Dynamic _ -> None
   in
   let my_tiles =
     match work with
-    | Tiled { tiles; owners } ->
-        let n = Pool.size pool in
-        let by = Array.make n [] in
-        for t = Array.length tiles - 1 downto 0 do
-          by.(owners.(t)) <- t :: by.(owners.(t))
-        done;
-        Array.map Array.of_list by
-    | Static _ | Dynamic _ | Steal _ -> [||]
+    | Tiled { owners; _ } -> tiles_by_owner ~nprocs:(Pool.size pool) owners
+    | Dynamic _ | Steal _ -> [||]
   in
   Pool.run pool (fun p barrier ->
       let sense = ref false in
@@ -295,26 +312,13 @@ let one_pass ?(trace = Trace.disabled) pool work ~steps ~visit ~seconds
         Trace.end_span trace p;
         Trace.begin_span trace p Trace.Step ~arg:step;
         (match work with
-        | Static per_domain ->
-            let pts = per_domain.(p) in
-            for i = 0 to Array.length pts - 1 do
-              visit p (Array.unsafe_get pts i)
-            done;
-            mine := !mine + Array.length pts
         | Tiled { tiles; _ } ->
             let ids = my_tiles.(p) in
             for j = 0 to Array.length ids - 1 do
               let t = Array.unsafe_get ids j in
               Trace.begin_span trace p Trace.Tile ~arg:t;
-              (match tiles.(t) with
-              | Box b ->
-                  iter_box b (visit p);
-                  mine := !mine + box_volume b
-              | Points pts ->
-                  for i = 0 to Array.length pts - 1 do
-                    visit p (Array.unsafe_get pts i)
-                  done;
-                  mine := !mine + Array.length pts);
+              run_tile p tiles.(t);
+              mine := !mine + tile_volume tiles.(t);
               Trace.end_span trace p;
               Trace.incr trace p Trace.Tiles_run
             done
@@ -365,10 +369,6 @@ let one_pass ?(trace = Trace.disabled) pool work ~steps ~visit ~seconds
 let check_work pool c work =
   let n = Pool.size pool in
   (match work with
-  | Static a when Array.length a <> n ->
-      invalid_arg
-        (Printf.sprintf "Exec: %d-domain pool given %d-way static work" n
-           (Array.length a))
   | Tiled { tiles; owners } ->
       if Array.length owners <> Array.length tiles then
         invalid_arg "Exec: tiled work with owners/tiles length mismatch";
@@ -382,7 +382,7 @@ let check_work pool c work =
       invalid_arg
         (Printf.sprintf "Exec: %d-domain pool given %d-way queues" n
            (Array.length queues))
-  | Static _ | Dynamic _ | Steal _ -> ());
+  | Dynamic _ | Steal _ -> ());
   let bounds = Nest.bounds c.nest in
   let check_box b =
     if not (in_space bounds b) then
@@ -390,13 +390,93 @@ let check_work pool c work =
   in
   let check_points pts = check_box (bounding_box (Array.length bounds) pts) in
   match work with
-  | Static per_domain -> Array.iter check_points per_domain
   | Tiled { tiles; _ } ->
       Array.iter
         (function Box b -> check_box b | Points pts -> check_points pts)
         tiles
   | Dynamic { points; _ } -> check_points points
   | Steal { queues; _ } -> Array.iter check_points queues
+
+(* One uninstrumented execution on the given operands: tiles through
+   [runner], chunk points through the interpreter. *)
+let pass ?trace ?runner pool c storage work ~steps ~seconds ~iterations =
+  let runner = Option.value runner ~default:(run_tile c) in
+  let body = exec_point c storage in
+  step_loop ?trace pool work ~steps
+    ~run_tile:(fun _ t -> runner storage t)
+    ~visit:(fun _ -> body)
+    ~seconds ~iterations
+
+let one_pass ?trace ?runner pool c storage work ~steps ~seconds ~iterations =
+  check_work pool c work;
+  pass ?trace ?runner pool c storage work ~steps ~seconds ~iterations
+
+(* Every address one reference produces over a box.  A set does not
+   depend on traversal order, so each reference picks its own run axis:
+   one where it moves by one element if it has one (a byte fill per
+   run), else its last axis that moves it at all.  The walk iterates
+   the other axes, and an axis the reference does not move along adds
+   no address, so it is visited once. *)
+let touch_box touched (r : cref) (b : (int * int) array) =
+  let d = Array.length b in
+  let m = r.m in
+  if Array.for_all (fun (lo, hi) -> lo <= hi) b then begin
+    let last_axis p =
+      let axis = ref (-1) in
+      Array.iteri (fun k mk -> if p mk then axis := k) m;
+      !axis
+    in
+    let run =
+      match last_axis (fun mk -> abs mk = 1) with
+      | -1 -> last_axis (fun mk -> mk <> 0)
+      | k -> k
+    in
+    let stride, len =
+      if run < 0 then (0, 1)
+      else
+        let lo, hi = b.(run) in
+        (m.(run), hi - lo + 1)
+    in
+    let rec go k a =
+      if k = d then Measure.touch_run touched ~start:a ~stride ~len
+      else
+        let lo, hi = b.(k) in
+        if k = run || m.(k) = 0 then go (k + 1) (a + (m.(k) * lo))
+        else begin
+          let a = ref (a + (m.(k) * lo)) in
+          for _ = lo to hi do
+            go (k + 1) !a;
+            a := !a + m.(k)
+          done
+        end
+    in
+    go 0 r.c
+  end
+
+(* One empty footprint set per domain. *)
+let domain_sets pool c ~mode =
+  Array.init (Pool.size pool) (fun _ ->
+      Measure.touched mode ~universe:(total_elements c))
+
+let footprints pool c work ~mode =
+  check_work pool c work;
+  match work with
+  | Dynamic _ | Steal _ ->
+      invalid_arg "Exec.footprints: self-scheduled work has no fixed owners"
+  | Tiled { tiles; owners } ->
+      let touched = domain_sets pool c ~mode in
+      let mine = tiles_by_owner ~nprocs:(Pool.size pool) owners in
+      Pool.run pool (fun p _ ->
+          let set = touched.(p) in
+          Array.iter
+            (fun t ->
+              match tiles.(t) with
+              | Box b ->
+                  Array.iter (fun r -> touch_box set r b) c.reads;
+                  Array.iter (fun (w, _) -> touch_box set w b) c.writes
+              | Points pts -> Array.iter (observe_point c set) pts)
+            mine.(p));
+      touched
 
 type instrumented = {
   footprints : int array;
@@ -407,23 +487,27 @@ type instrumented = {
   buffer : float array;
 }
 
-let measure pool c work ~steps ~mode =
-  check_work pool c work;
+(* One execution on fresh operands that records every address each
+   domain touches. *)
+let observed pool c work ~steps ~mode =
   let nprocs = Pool.size pool in
-  let universe = total_elements c in
   let storage = alloc c in
   let run_body = exec_point c storage in
-  let touched =
-    Array.init nprocs (fun _ -> Measure.touched mode ~universe)
-  in
+  let touched = domain_sets pool c ~mode in
   let observers = Array.map (observe_point c) touched in
-  let seconds = Array.make nprocs 0.0 in
   let iterations = Array.make nprocs 0 in
   let visit p point =
     observers.(p) point;
     run_body point
   in
-  one_pass pool work ~steps ~visit ~seconds ~iterations;
+  step_loop pool work ~steps
+    ~run_tile:(fun p t -> iter_tile t (visit p))
+    ~visit ~seconds:(Array.make nprocs 0.0) ~iterations;
+  (touched, storage, iterations)
+
+let measure pool c work ~steps ~mode =
+  check_work pool c work;
+  let touched, storage, iterations = observed pool c work ~steps ~mode in
   {
     footprints = Array.map Measure.touched_count touched;
     iterations;
@@ -433,55 +517,48 @@ let measure pool c work ~steps ~mode =
     buffer = to_float_array storage;
   }
 
-let best_of_repeats c ~nprocs ~repeats pass =
-  if repeats < 1 then invalid_arg "Exec.best_of_repeats: repeats < 1";
-  let best_wall = ref infinity in
-  let best_seconds = Array.make nprocs 0.0 in
-  let best_iterations = Array.make nprocs 0 in
-  let best_checksum = ref 0.0 in
+let time ?trace ?runner pool c work ~steps ~repeats =
+  if repeats < 1 then invalid_arg "Exec.time: repeats < 1";
+  check_work pool c work;
+  let nprocs = Pool.size pool in
+  let best = ref (infinity, [||], [||], 0.0) in
   for _rep = 1 to repeats do
     let storage = alloc c in
     let seconds = Array.make nprocs 0.0 in
     let iterations = Array.make nprocs 0 in
     let t0 = Mclock.now () in
-    pass storage ~seconds ~iterations;
+    pass ?trace ?runner pool c storage work ~steps ~seconds ~iterations;
     let wall = Mclock.now () -. t0 in
-    let sum = checksum storage in
-    if wall < !best_wall then begin
-      best_wall := wall;
-      Array.blit seconds 0 best_seconds 0 nprocs;
-      Array.blit iterations 0 best_iterations 0 nprocs;
-      best_checksum := sum
-    end
+    let best_wall, _, _, _ = !best in
+    if wall < best_wall then best := (wall, seconds, iterations, checksum storage)
   done;
-  (!best_wall, best_seconds, best_iterations, !best_checksum)
+  !best
 
-let time ?trace pool c work ~steps ~repeats =
-  check_work pool c work;
-  best_of_repeats c ~nprocs:(Pool.size pool) ~repeats
-    (fun storage ~seconds ~iterations ->
-      let run_body = exec_point c storage in
-      one_pass ?trace pool work ~steps
-        ~visit:(fun _p point -> run_body point)
-        ~seconds ~iterations)
-
-let run ?(trace = Trace.disabled) pool c work ~steps ~repeats ~mode =
-  let wall, seconds, iterations, _ = time ~trace pool c work ~steps ~repeats in
-  let inst = measure pool c work ~steps ~mode in
-  (* The instrumented pass runs untraced (its observation cost is not
-     representative), but its footprints feed the bytes-touched
-     counter: distinct elements each domain actually referenced. *)
-  Array.iteri
-    (fun p f -> Trace.add trace p Trace.Elements_touched f)
-    inst.footprints;
+let run ?(trace = Trace.disabled) ?runner pool c work ~steps ~repeats ~mode =
+  let wall, seconds, iterations, checksum =
+    time ~trace ?runner pool c work ~steps ~repeats
+  in
+  (* Tiled work's footprints follow from its tiles alone.  Who runs a
+     self-scheduled point depends on the claims, so those footprints are
+     observed on one more, instrumented execution - untraced, as its
+     observation cost is not representative. *)
+  let touched =
+    match work with
+    | Tiled _ -> footprints pool c work ~mode
+    | Dynamic _ | Steal _ ->
+        let touched, _, _ = observed pool c work ~steps ~mode in
+        touched
+  in
+  let footprints = Array.map Measure.touched_count touched in
+  Array.iteri (fun p f -> Trace.add trace p Trace.Elements_touched f) footprints;
   {
     Measure.wall_seconds = wall;
     seconds;
     iterations;
-    footprints = inst.footprints;
-    exact_footprints = inst.exact;
-    distinct_total = inst.distinct_total;
-    checksum = inst.checksum;
+    footprints;
+    exact_footprints = Array.for_all Measure.is_exact touched;
+    distinct_total = Measure.union_count touched;
+    checksum;
   }
 
 let sequential c ~steps =

@@ -52,10 +52,9 @@ val address : compiled -> Reference.t -> Ivec.t -> int
 
 (** {2 Raw storage access}
 
-    The resilient executor ({!Resilient}) and the kernel backend
-    ({!Kernel}) drive tiles themselves instead of going through
-    {!measure}/{!time}, so they need the operand buffer and the
-    per-point body as first-class values. *)
+    The resilient executor ({!Resilient}) drives tiles itself and the
+    kernel backend ({!Kernel}) runs them its own way, so both need the
+    operand buffer and the per-point body as first-class values. *)
 
 type storage = float array
 (** The whole operand space, one element per flat address of the
@@ -105,6 +104,12 @@ val in_space : (int * int) array -> (int * int) array -> bool
     and is empty or lies inside it - the one test that guards the
     unchecked loads and stores of {!exec_point} and {!Kernel}. *)
 
+val bounding_box : int -> Ivec.t array -> (int * int) array
+(** [bounding_box d pts]: the smallest box holding every point, empty
+    when there are none.  The points lie in a space exactly when it
+    does, and fill it exactly when its {!box_volume} is their count.
+    Raises [Invalid_argument] for a point of arity other than [d]. *)
+
 val addr_interval : cref -> (int * int) array -> int * int
 (** Inclusive range of the addresses a reference touches over a box:
     exact bounds of [c + m . i], so every address the box produces lies
@@ -118,16 +123,22 @@ type tile =
           a rectangular tile held as its bounds, never as points *)
   | Points of Ivec.t array  (** a ragged tile's points, in order *)
 
+val iter_tile : tile -> (Ivec.t -> unit) -> unit
+(** The tile's points in order, a box through {!iter_box}. *)
+
+type runner = storage -> tile -> unit
+(** Executes every iteration of one tile once on the operands. *)
+
+val run_tile : compiled -> runner
+(** The interpreter, {!exec_point} at each point: the default runner
+    ({!Kernel.run_tile} is the other). *)
+
 type work =
-  | Static of Ivec.t array array
-      (** per-domain iteration arrays, fixed at compile time (the
-          schedules of {!Partition.Codegen} / {!Partition.Scheduling}) *)
   | Tiled of { tiles : tile array; owners : int array }
-      (** the same compile-time partition with tile boundaries kept:
-          tile id -> tile, tile id -> owning domain (the shape of
-          {!Resilient.partitioned}).  Executes like [Static] work over
-          the concatenation of each owner's tiles, but a traced run
-          records one claim-to-completion span per tile *)
+      (** a compile-time partition: tile id -> tile, tile id -> owning
+          domain (the shape of {!Resilient.partitioned}).  Each domain
+          runs its tiles in tile-id order through a {!runner}, and a
+          traced run records one claim-to-completion span per tile *)
   | Dynamic of { points : Ivec.t array; chunk : remaining:int -> int }
       (** self-scheduling over the lexicographic iteration stream via a
           shared {!Pool.Counter}: chunk [fun ~remaining:_ -> 1] is
@@ -138,11 +149,43 @@ type work =
           front-first by their owners with back-stealing *)
 
 val static_of_assignment : Partition.Scheduling.assignment -> work
+(** Per-domain point lists (the schedules of {!Partition.Codegen} /
+    {!Partition.Scheduling}) as [Tiled] work: one [Points] tile per
+    domain, owned by that domain. *)
+
 val queues_of_assignment : Partition.Scheduling.assignment -> chunk:int -> work
 
 val steps_of_nest : ?override:int -> Nest.t -> int
 (** The outer sequential trip count: [override], else the nest's
     [Doseq] extent, else 1. *)
+
+val one_pass :
+  ?trace:Trace.t ->
+  ?runner:runner ->
+  Pool.t ->
+  compiled ->
+  storage ->
+  work ->
+  steps:int ->
+  seconds:float array ->
+  iterations:int array ->
+  unit
+(** The one step loop: [steps] barrier-separated sweeps of the work over
+    the operands, tiles through [runner] (default {!run_tile}), chunks
+    of self-scheduled points through the interpreter.  Fills per-domain
+    wall seconds ({!Mclock}) and iterations.  A live [trace] records
+    barrier and step spans and one span per tile or chunk claim. *)
+
+val footprints :
+  Pool.t -> compiled -> work -> mode:Measure.mode -> Measure.touched array
+(** Per-domain footprint sets of [Tiled] work without executing it:
+    domain [p] adds every reference's addresses over each tile it owns,
+    a [Box] as runs ({!Measure.touch_run}) along the reference's own
+    run axis, a [Points] tile address by address.  Addresses do not
+    depend on the outer sequential step, so these are exactly the sets
+    an instrumented all-steps execution ({!measure}) collects.  Raises
+    [Invalid_argument] for [Dynamic] and [Steal] work, whose owners are
+    only known once run. *)
 
 type instrumented = {
   footprints : int array;  (** distinct elements touched per domain *)
@@ -155,38 +198,30 @@ type instrumented = {
 
 val measure :
   Pool.t -> compiled -> work -> steps:int -> mode:Measure.mode -> instrumented
-(** One instrumented (untimed) execution on fresh operands.  {!measure},
-    {!time} and {!run} raise [Invalid_argument] before running anything
-    when the work does not fit the pool, or holds a box tile or a point
-    outside the nest's iteration space ({!in_space}). *)
-
-val best_of_repeats :
-  compiled ->
-  nprocs:int ->
-  repeats:int ->
-  (storage -> seconds:float array -> iterations:int array -> unit) ->
-  float * float array * int array * float
-(** [best_of_repeats c ~nprocs ~repeats pass] calls [pass] [repeats]
-    times, each on fresh operands and per-domain result arrays, and
-    returns [(wall, per_domain_seconds, per_domain_iterations,
-    checksum)] of the fastest call (minimum-of-N wall-clock on
-    {!Mclock}); [checksum] is {!checksum} of that call's final
-    operands.  The timing loop of {!time} and {!Kernel.time}. *)
+(** One instrumented (untimed) execution on fresh operands, point by
+    point: the reference the oracles hold {!footprints} and {!Kernel}
+    to.  Every entry point taking [work] raises [Invalid_argument]
+    before running anything when the work does not fit the pool, or
+    holds a box or a point outside the iteration space ({!in_space}). *)
 
 val time :
   ?trace:Trace.t ->
+  ?runner:runner ->
   Pool.t ->
   compiled ->
   work ->
   steps:int ->
   repeats:int ->
   float * float array * int array * float
-(** {!best_of_repeats} over uninstrumented executions of the work.  A
-    live [trace] records barrier waits, steps, and tile/chunk claims of
-    {e every} repeat. *)
+(** [repeats] {!one_pass} executions, each on fresh operands:
+    [(wall, per_domain_seconds, per_domain_iterations, checksum)] of the
+    fastest (minimum wall-clock on {!Mclock}), [checksum] being
+    {!checksum} of its final operands.  A live [trace] records every
+    repeat. *)
 
 val run :
   ?trace:Trace.t ->
+  ?runner:runner ->
   Pool.t ->
   compiled ->
   work ->
@@ -194,9 +229,10 @@ val run :
   repeats:int ->
   mode:Measure.mode ->
   Measure.raw
-(** {!time} + {!measure} combined into a {!Measure.raw}.  The timed
-    pass is traced; the instrumented pass only feeds the trace's
-    elements-touched counter from its per-domain footprints. *)
+(** {!time} and footprints as a {!Measure.raw}: iterations and checksum
+    of the fastest repeat, footprints from {!footprints} for [Tiled]
+    work, else from one more, instrumented and untraced execution.  The
+    footprints feed the trace's elements-touched counter. *)
 
 val sequential : compiled -> steps:int -> float array
 (** Reference execution: every iteration in lexicographic order on the

@@ -350,18 +350,15 @@ let inner_generic (data : float array) ~n ~nr ~nw ~(rd : int array)
     done
   done
 
-(* Box loops are unchecked: a non-empty box reaching outside the
-   iteration space would address outside the operand buffer. *)
-let check_in_space p (b : box) =
-  if not (Exec.in_space p.bounds b) then
-    invalid_arg "Kernel: box outside the iteration space"
-
 let run_box p (data : Exec.storage) (b : box) =
   let d = p.nesting in
   if Array.length b <> d then invalid_arg "Kernel.run_box: box arity mismatch";
   if Array.exists (fun (lo, hi) -> hi < lo) b then ()
   else begin
-    check_in_space p b;
+    (* Box loops are unchecked: a non-empty box reaching outside the
+       iteration space would address outside the operand buffer. *)
+    if not (Exec.in_space p.bounds b) then
+      invalid_arg "Kernel: box outside the iteration space";
     let ord = p.order in
     let ext = Array.map (fun k -> let lo, hi = b.(k) in hi - lo + 1) ord in
     let nr = Array.length p.reads and nw = Array.length p.writes in
@@ -466,108 +463,19 @@ let boxes_of_schedule sched =
     ranges;
   Array.map (fun l -> Array.of_list (List.rev l)) by
 
-let check_boxes pool p boxes =
-  if Array.length boxes <> Pool.size pool then
-    invalid_arg
-      (Printf.sprintf "Kernel: %d-domain pool given %d-way boxes"
-         (Pool.size pool) (Array.length boxes));
-  Array.iter
-    (Array.iter (fun (b : box) ->
-         if Array.length b <> p.nesting then
-           invalid_arg "Kernel: box arity mismatch";
-         check_in_space p b))
-    boxes
+let run_tile p storage = function
+  | Exec.Box b -> run_box p storage b
+  | Exec.Points _ as t -> Exec.run_tile p.compiled storage t
 
-let one_pass ?(trace = Trace.disabled) pool p storage ~boxes ~steps ~seconds
-    ~iterations =
-  Pool.run pool (fun me barrier ->
-      let sense = ref false in
-      let mine = boxes.(me) in
-      let per_step = Array.fold_left (fun acc b -> acc + box_volume b) 0 mine in
-      let yielded = ref 0 in
-      let t0 = Mclock.now () in
-      for step = 1 to steps do
-        Trace.begin_span trace me Trace.Barrier ~arg:step;
-        Pool.Barrier.wait barrier ~sense ~yielded;
-        Trace.end_span trace me;
-        Trace.begin_span trace me Trace.Step ~arg:step;
-        for i = 0 to Array.length mine - 1 do
-          Trace.begin_span trace me Trace.Tile ~arg:i;
-          run_box p storage (Array.unsafe_get mine i);
-          Trace.end_span trace me;
-          Trace.incr trace me Trace.Tiles_run
-        done;
-        Trace.end_span trace me;
-        Trace.begin_span trace me Trace.Barrier ~arg:step;
-        Pool.Barrier.wait barrier ~sense ~yielded;
-        Trace.end_span trace me
-      done;
-      Trace.add trace me Trace.Backoff_yields !yielded;
-      seconds.(me) <- Mclock.now () -. t0;
-      iterations.(me) <- per_step * steps)
-
-let time ?trace pool p ~boxes ~steps ~repeats =
-  check_boxes pool p boxes;
-  Exec.best_of_repeats p.compiled ~nprocs:(Pool.size pool) ~repeats
-    (fun storage ~seconds ~iterations ->
-      one_pass ?trace pool p storage ~boxes ~steps ~seconds ~iterations)
-
-(* Every address one reference produces over a box.  A set does not
-   depend on traversal order, so each reference picks its own run axis:
-   one where it moves by one element if it has one (a byte fill per
-   run), else its last axis that moves it at all.  The walk iterates
-   the other axes, and an axis the reference does not move along adds
-   no address, so it is visited once. *)
-let touch_box touched (r : Exec.cref) (b : box) =
-  let d = Array.length b in
-  let m = r.Exec.m in
-  if Array.for_all (fun (lo, hi) -> lo <= hi) b then begin
-    let last_axis p =
-      let axis = ref (-1) in
-      Array.iteri (fun k mk -> if p mk then axis := k) m;
-      !axis
-    in
-    let run =
-      match last_axis (fun mk -> abs mk = 1) with
-      | -1 -> last_axis (fun mk -> mk <> 0)
-      | k -> k
-    in
-    let stride, len =
-      if run < 0 then (0, 1)
-      else
-        let lo, hi = b.(run) in
-        (m.(run), hi - lo + 1)
-    in
-    let rec go k a =
-      if k = d then Measure.touch_run touched ~start:a ~stride ~len
-      else
-        let lo, hi = b.(k) in
-        if k = run || m.(k) = 0 then go (k + 1) (a + (m.(k) * lo))
-        else begin
-          let a = ref (a + (m.(k) * lo)) in
-          for _ = lo to hi do
-            go (k + 1) !a;
-            a := !a + m.(k)
-          done
-        end
-    in
-    go 0 r.Exec.c
-  end
-
-let footprints pool p ~boxes ~mode =
-  check_boxes pool p boxes;
-  let universe = Exec.total_elements p.compiled in
-  let touched =
-    Array.init (Pool.size pool) (fun _ -> Measure.touched mode ~universe)
+let one_pass ?trace pool p storage ~boxes ~steps ~seconds ~iterations =
+  let owned =
+    Array.to_list boxes
+    |> List.mapi (fun o -> Array.map (fun b -> (o, Exec.Box b)))
+    |> Array.concat
   in
-  Pool.run pool (fun me _ ->
-      let set = touched.(me) in
-      Array.iter
-        (fun b ->
-          Array.iter (fun r -> touch_box set r b) p.reads;
-          Array.iter (fun (w, _) -> touch_box set w b) p.writes)
-        boxes.(me));
-  touched
+  Exec.one_pass ?trace ~runner:(run_tile p) pool p.compiled storage
+    (Exec.Tiled { tiles = Array.map snd owned; owners = Array.map fst owned })
+    ~steps ~seconds ~iterations
 
 let sequential p ~steps =
   let storage = Exec.alloc p.compiled in

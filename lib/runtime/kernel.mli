@@ -73,6 +73,10 @@ val boxes_of_schedule : Partition.Codegen.schedule -> box array array
     owner's boxes in tile-identifier order - [result.(p)] is domain
     [p]'s work for one step. *)
 
+val run_tile : plan -> Exec.runner
+(** The kernel runner: a [Box] tile through {!run_box}, a [Points] tile
+    through the interpreter ({!Exec.run_tile}). *)
+
 val one_pass :
   ?trace:Trace.t ->
   Pool.t ->
@@ -83,34 +87,10 @@ val one_pass :
   seconds:float array ->
   iterations:int array ->
   unit
-(** Run [steps] barrier-separated sweeps, domain [p] executing
-    [boxes.(p)]; fills per-domain wall seconds and iteration counts
-    (timestamps on {!Mclock}).  Mirrors {!Exec}'s static one-pass
-    structure (two barrier waits per step) so timings are comparable.
-    A live [trace] records one span per box execution plus barrier and
-    step spans. *)
-
-val time :
-  ?trace:Trace.t ->
-  Pool.t ->
-  plan ->
-  boxes:box array array ->
-  steps:int ->
-  repeats:int ->
-  float * float array * int array * float
-(** {!Exec.best_of_repeats} over {!one_pass} runs - the kernel-path
-    analogue of {!Exec.time}. *)
-
-val footprints :
-  Pool.t -> plan -> boxes:box array array -> mode:Measure.mode -> Measure.touched array
-(** Per-domain footprint sets without executing the body: domain [p]
-    adds the address set of every reference over each box of
-    [boxes.(p)] to its own set, as runs ({!Measure.touch_run}) along
-    the reference's own run axis - one it moves along by one element
-    if it has one - and visits an axis it does not move along once.
-    Addresses do not depend on the outer sequential step, so one pass
-    yields exactly the sets an instrumented all-steps execution
-    ({!Exec.measure}) collects. *)
+(** {!Exec.one_pass} with the kernel runner over [Tiled] work of box
+    tiles, domain [p] owning [boxes.(p)] in order: [steps]
+    barrier-separated sweeps on the given operands, filling per-domain
+    wall seconds and iteration counts. *)
 
 val sequential : plan -> steps:int -> Exec.storage
 (** The whole iteration space as one box on the calling domain, [steps]

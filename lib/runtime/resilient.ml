@@ -45,74 +45,47 @@ type tile = Exec.tile = Box of Kernel.box | Points of Ivec.t array
 
 type partitioned = { nprocs : int; tiles : tile array; owners : int array }
 
-(* A tile's points arrive in lexicographic order; when they are exactly
-   a full rectangular box (volume = count, all points distinct and
-   inside the bounding box), scanning that box visits the same
-   iterations in the same order. *)
-let bounding_box (pts : Ivec.t array) =
-  if Array.length pts = 0 then None
-  else begin
-    let d = Array.length pts.(0) in
-    let lo = Array.copy pts.(0) and hi = Array.copy pts.(0) in
-    Array.iter
-      (fun p ->
-        for k = 0 to d - 1 do
-          if p.(k) < lo.(k) then lo.(k) <- p.(k);
-          if p.(k) > hi.(k) then hi.(k) <- p.(k)
-        done)
-      pts;
-    let volume = ref 1 in
-    for k = 0 to d - 1 do
-      volume := !volume * (hi.(k) - lo.(k) + 1)
-    done;
-    if !volume = Array.length pts then
-      Some (Array.init d (fun k -> (lo.(k), hi.(k))))
-    else None
-  end
-
 (* Rectangular tiles come straight from their clipped bounds; only
-   parallelepiped tiles are found by grouping the enumerated points.
-   Either way tiles are ordered by owner, then by first (lexicographic)
-   point. *)
+   parallelepiped tiles are found by grouping the points of one
+   lexicographic scan by tile index.  Either way tiles are ordered by
+   owner, then by first (lexicographic) point.  A group arrives in
+   lexicographic order, so when it exactly fills its bounding box,
+   scanning that box visits the same iterations in the same order. *)
 let tiles_of_schedule sched =
   let open Partition in
   let nprocs = sched.Codegen.nprocs in
-  match sched.Codegen.tile with
-  | Tile.Rect _ ->
-      let owned =
+  let owned =
+    match sched.Codegen.tile with
+    | Tile.Rect _ ->
         Array.to_list (Kernel.boxes_of_schedule sched)
         |> List.mapi (fun p boxes ->
                Array.to_list boxes
                |> List.filter (fun b -> Kernel.box_volume b > 0)
                |> List.map (fun b -> (p, Box b)))
-        |> List.concat |> Array.of_list
-      in
-      { nprocs; tiles = Array.map snd owned; owners = Array.map fst owned }
-  | Tile.Pped _ ->
-      let per_proc = Codegen.iterations_by_proc sched in
-      let tbl = Hashtbl.create 64 in
-      let rev_keys = ref [] in
-      Array.iteri
-        (fun p pts ->
-          List.iter
-            (fun pt ->
-              let key = (p, Array.to_list (Codegen.tile_id sched pt)) in
-              match Hashtbl.find_opt tbl key with
-              | Some cell -> cell := pt :: !cell
-              | None ->
-                  Hashtbl.add tbl key (ref [ pt ]);
-                  rev_keys := key :: !rev_keys)
-            pts)
-        per_proc;
-      let keys = Array.of_list (List.rev !rev_keys) in
-      let tile k =
-        let pts = Array.of_list (List.rev !(Hashtbl.find tbl k)) in
-        match bounding_box pts with Some b -> Box b | None -> Points pts
-      in
-      { nprocs; tiles = Array.map tile keys; owners = Array.map fst keys }
-
-let iter_tile tile f =
-  match tile with Box b -> Exec.iter_box b f | Points pts -> Array.iter f pts
+        |> List.concat
+    | Tile.Pped _ ->
+        let index = Codegen.tile_index sched in
+        let bounds = Loopir.Nest.bounds sched.Codegen.nest in
+        let groups = Hashtbl.create 64 in
+        let rev_ids = ref [] in
+        Exec.iter_box bounds (fun pt ->
+            let id = index pt in
+            match Hashtbl.find_opt groups id with
+            | Some cell -> cell := Array.copy pt :: !cell
+            | None ->
+                Hashtbl.add groups id (ref [ Array.copy pt ]);
+                rev_ids := id :: !rev_ids);
+        let tile id =
+          let pts = Array.of_list (List.rev !(Hashtbl.find groups id)) in
+          let b = Exec.bounding_box (Array.length bounds) pts in
+          if Exec.box_volume b = Array.length pts then Box b else Points pts
+        in
+        List.rev_map (fun id -> (id mod nprocs, id)) !rev_ids
+        |> List.stable_sort (fun (p, _) (q, _) -> Int.compare p q)
+        |> List.map (fun (p, id) -> (p, tile id))
+  in
+  let owned = Array.of_list owned in
+  { nprocs; tiles = Array.map snd owned; owners = Array.map fst owned }
 
 (* Whether two different tiles accumulate into one address.  Such
    tiles, run concurrently, race their read-modify-writes and lose
@@ -156,7 +129,7 @@ let accumulates_contend compiled tiles =
   Array.iteri
     (fun t tile ->
       if not !clash then
-        iter_tile tile (fun p ->
+        Exec.iter_tile tile (fun p ->
             List.iter
               (fun w ->
                 let a = Exec.addr w p in
@@ -537,14 +510,12 @@ let make_ctx cfg plan compiled steps (p : partitioned) ~recover ~kernels ~trace 
   in
   let storage = Exec.alloc compiled in
   let exec_tile =
-    let run_point = Exec.exec_point compiled storage in
-    let exec_tile t =
-      match (p.tiles.(t), kernels) with
-      (* Box tiles take the specialized strided loops when lowered;
-         ragged tiles (clipped parallelepipeds) always interpret. *)
-      | Box b, Some kplan -> Kernel.run_box kplan storage b
-      | (Box _ | Points _) as tile, _ -> iter_tile tile run_point
+    let runner =
+      match kernels with
+      | Some kplan -> Kernel.run_tile kplan
+      | None -> Exec.run_tile compiled
     in
+    let exec_tile t = runner storage p.tiles.(t) in
     if accumulates_contend compiled p.tiles then begin
       let m = Mutex.create () in
       fun t -> Mutex.protect m (fun () -> exec_tile t)

@@ -85,7 +85,7 @@ val tiles_of_schedule : Partition.Codegen.schedule -> partitioned
     lexicographic order.  Rectangular schedules yield one [Box] per
     clipped tile of {!Partition.Codegen.rect_tile_ranges} without
     enumerating a single iteration.  Parallelepiped schedules group the
-    enumerated space by {!Partition.Codegen.tile_id}; a group that
+    enumerated space by {!Partition.Codegen.tile_index}; a group that
     exactly fills its bounding box still becomes a [Box]. *)
 
 val execute :

@@ -91,6 +91,24 @@ let test_best_tile_prefers_improving_skew () =
       checkb "best tile is the skewed one" true
         (Tile.equal (Driver.best_tile a) s.Skewed.tile)
 
+(* The decision rests on the tile that would run, the rounded one: on
+   example 2 it merely ties the rectangle (5100 = 5100), and on
+   transpose_like rounding loses to it (485 > 465.6). *)
+let test_best_tile_keeps_rect_unless_rounded_skew_wins () =
+  List.iter
+    (fun (nest, nprocs) ->
+      let name = Printf.sprintf "%s -p %d" nest.Loopir.Nest.name nprocs in
+      let a = Driver.analyze ~try_skewed:true ~nprocs nest in
+      match a.Driver.skewed with
+      | None -> Alcotest.failf "%s: skewed engine applies" name
+      | Some s ->
+          checkb (name ^ ": no improvement") false s.Skewed.improves_on_rect;
+          checkb (name ^ ": rounded cost not below rect") true
+            (s.Skewed.rounded_cost >= s.Skewed.rect_cost -. 1e-6);
+          checkb (name ^ ": best tile is the rectangle") true
+            (Tile.equal (Driver.best_tile a) a.Driver.rect.Rectangular.tile))
+    [ (Programs.example2 (), 4); (Programs.transpose_like (), 10) ]
+
 let test_driver_parse_roundtrip () =
   (* Surface syntax -> full pipeline. *)
   let src =
@@ -194,6 +212,8 @@ let () =
             test_matmul_blocks_beat_rows;
           Alcotest.test_case "best tile with skew" `Quick
             test_best_tile_prefers_improving_skew;
+          Alcotest.test_case "rectangle unless the rounded skew wins" `Quick
+            test_best_tile_keeps_rect_unless_rounded_skew_wins;
           Alcotest.test_case "parse -> pipeline" `Quick
             test_driver_parse_roundtrip;
           Alcotest.test_case "aligned simulation" `Quick

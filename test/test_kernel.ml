@@ -247,14 +247,21 @@ let test_driver_kernels_flag () =
          acc + d.Runtime.Measure.iterations)
        0 r.Runtime.Measure.per_domain)
 
-(* The kernel path reports iterations and checksum from its own run and
-   footprints from strided address runs; the interpreter's Tiled path
-   counts all three point by point.  Both must agree on the whole
-   gallery. *)
+(* Both Tiled paths report iterations and checksum from their own timed
+   run and share one footprint function over the tiles.  They must agree
+   with each other on the whole gallery, and the footprints with the
+   instrumented point-by-point execution of the schedule's point lists. *)
 let test_driver_kernels_agree_with_interpreter () =
   List.iter
     (fun (name, nest) ->
       let a = Driver.analyze ~nprocs:4 nest in
+      let inst =
+        Runtime.Pool.with_pool 4 (fun pool ->
+            Runtime.Exec.measure pool (Runtime.Exec.compile nest)
+              (Runtime.Exec.static_of_assignment
+                 (Partition.Scheduling.of_schedule (Driver.schedule a)))
+              ~steps:(steps_of nest) ~mode:Runtime.Measure.Exact)
+      in
       let run kernels =
         Driver.execute
           ~config:
@@ -274,8 +281,12 @@ let test_driver_kernels_agree_with_interpreter () =
       let foot (d : Runtime.Measure.domain_stat) = d.Runtime.Measure.footprint in
       checkb (name ^ ": iterations per domain") true (per iters k = per iters i);
       checkb (name ^ ": footprints per domain") true (per foot k = per foot i);
+      checkb (name ^ ": footprints per domain = Exec.measure") true
+        (per foot k = inst.Runtime.Exec.footprints);
       check (name ^ ": distinct total") i.Runtime.Measure.distinct_total
         k.Runtime.Measure.distinct_total;
+      check (name ^ ": distinct total = Exec.measure")
+        inst.Runtime.Exec.distinct_total k.Runtime.Measure.distinct_total;
       checkb (name ^ ": exact footprints") true k.Runtime.Measure.exact_footprints;
       (* In-place and cross-domain accumulating nests have values that
          depend on the interleaving; every other nest's values are fixed
@@ -316,13 +327,18 @@ let test_large_extent_footprints_exact () =
   let universe = Runtime.Exec.total_elements (Runtime.Kernel.compiled plan) in
   check "universe" ((n * n) + ((n + 2) * (n + 2))) universe;
   checkb "universe above exact_limit" true (universe > Runtime.Measure.exact_limit);
-  let boxes = Runtime.Kernel.boxes_of_schedule sched in
-  let nboxes = Array.fold_left (fun acc b -> acc + Array.length b) 0 boxes in
+  let part = Runtime.Resilient.tiles_of_schedule sched in
+  let work =
+    Runtime.Exec.Tiled
+      { tiles = part.Runtime.Resilient.tiles; owners = part.Runtime.Resilient.owners }
+  in
+  let nboxes = Array.length part.Runtime.Resilient.tiles in
   let nrefs = List.length (Runtime.Kernel.strides plan) in
   Runtime.Pool.with_pool nprocs (fun pool ->
       let before = Gc.minor_words () in
       let touched =
-        Runtime.Kernel.footprints pool plan ~boxes ~mode:Runtime.Measure.Exact
+        Runtime.Exec.footprints pool (Runtime.Kernel.compiled plan) work
+          ~mode:Runtime.Measure.Exact
       in
       let per = Array.map Runtime.Measure.touched_count touched in
       let union = Runtime.Measure.union_count touched in

@@ -52,7 +52,28 @@ let test_tile_pped_tiles_plane () =
     done
   done;
   (* |det| = 5: each tile holds exactly 5 lattice points. *)
-  check "half-open tile holds det points" 5 !count
+  check "half-open tile holds det points" 5 !count;
+  (* The integer-scaled inverse agrees with [floor (i L^-1)] over the
+     rationals, for either sign of [det L]. *)
+  List.iter
+    (fun rows ->
+      let l = Imat.of_rows rows in
+      let coords = Tile.tile_coords (Tile.pped l) in
+      let inv = Option.get (Matrixkit.Qmat.inv (Matrixkit.Qmat.of_imat l)) in
+      for x = -7 to 7 do
+        for y = -7 to 7 do
+          let want =
+            Array.map Rat.floor
+              (Matrixkit.Qmat.mul_row [| Rat.of_int x; Rat.of_int y |] inv)
+          in
+          checkb
+            (Printf.sprintf "coords of (%d,%d) under det %d" x y (Imat.det l))
+            true
+            (coords [| x; y |] = want)
+        done
+      done)
+    [ [ [ 2; 1 ]; [ -1; 2 ] ]; [ [ 3; 1 ]; [ 1; -2 ] ]; [ [ 64; 32 ]; [ 0; 32 ] ];
+      [ [ 25; 1 ]; [ 33; 99 ] ] ]
 
 (* ------------------------------------------------------------------ *)
 (* Cost model                                                          *)

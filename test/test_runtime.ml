@@ -384,6 +384,7 @@ let test_out_of_space_work_rejected () =
           ("time", fun () -> ignore (Exec.time pool c work ~steps ~repeats));
           ("measure", fun () -> ignore (Exec.measure pool c work ~steps ~mode));
           ("run", fun () -> ignore (Exec.run pool c work ~steps ~repeats ~mode));
+          ("footprints", fun () -> ignore (Exec.footprints pool c work ~mode));
         ]
       in
       List.iter
@@ -396,19 +397,137 @@ let test_out_of_space_work_rejected () =
         [
           ("box tile", tiled (Exec.Box outside));
           ("points tile", tiled (Exec.Points [| [| 3; 0 |] |]));
-          ("static point", Exec.Static [| [| [| 1; 1 |]; [| 9; 1 |] |] |]);
+          ( "static point",
+            Exec.static_of_assignment [| [ [| 1; 1 |]; [| 9; 1 |] ] |] );
           ( "dynamic point",
             Exec.Dynamic
               { points = [| [| 1; 400 |] |]; chunk = (fun ~remaining:_ -> 1) } );
           ( "steal point",
             Exec.Steal { queues = [| [| [| -5; 2 |] |] |]; chunk = 1 } );
-          ("short point", Exec.Static [| [| [| 1 |] |] |]);
+          ("short point", Exec.static_of_assignment [| [ [| 1 |] ] |]);
         ];
       let r =
         Exec.measure pool compiled (tiled (Exec.Box inside)) ~steps ~mode
       in
       check "the in-space box still runs" 64
         (Array.fold_left ( + ) 0 r.Exec.iterations))
+
+(* ------------------------------------------------------------------ *)
+(* Parallelepiped tiles                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Two skewed schedules: example 3's chosen tile at P = 4, and the
+   stencil's skew along the second axis, the shape the optimizer picks
+   for the 1024^2 stencil, scaled to n = 64. *)
+let skewed_schedules () =
+  let a = Driver.analyze ~try_skewed:true ~nprocs:4 (Programs.example3 ()) in
+  let ex3 = Driver.schedule ~tile:(Driver.best_tile a) a in
+  let stencil =
+    Codegen.make
+      (Programs.stencil5 ~n:64 ~steps:1 ())
+      (Tile.pped (Matrixkit.Imat.of_rows [ [ 64; 32 ]; [ 0; 32 ] ]))
+      ~nprocs:2
+  in
+  [ ("example3 -p 4", ex3); ("stencil5 n=64", stencil) ]
+
+(* The grouping [Resilient.tiles_of_schedule] used to compute: each
+   domain's point list grouped by tile coordinates, keyed by (owner,
+   coordinates) in first-appearance order, a group that fills its
+   bounding box kept as a box. *)
+let reference_tiles sched =
+  let per_proc = Codegen.iterations_by_proc sched in
+  let tbl = Hashtbl.create 64 in
+  let rev_keys = ref [] in
+  Array.iteri
+    (fun p pts ->
+      List.iter
+        (fun pt ->
+          let key = (p, Array.to_list (Codegen.tile_id sched pt)) in
+          match Hashtbl.find_opt tbl key with
+          | Some cell -> cell := pt :: !cell
+          | None ->
+              Hashtbl.add tbl key (ref [ pt ]);
+              rev_keys := key :: !rev_keys)
+        pts)
+    per_proc;
+  let keys = Array.of_list (List.rev !rev_keys) in
+  let full_box (pts : Matrixkit.Ivec.t array) =
+    let d = Array.length pts.(0) in
+    let lo = Array.copy pts.(0) and hi = Array.copy pts.(0) in
+    Array.iter
+      (fun p ->
+        for k = 0 to d - 1 do
+          if p.(k) < lo.(k) then lo.(k) <- p.(k);
+          if p.(k) > hi.(k) then hi.(k) <- p.(k)
+        done)
+      pts;
+    let volume = ref 1 in
+    for k = 0 to d - 1 do
+      volume := !volume * (hi.(k) - lo.(k) + 1)
+    done;
+    if !volume = Array.length pts then
+      Some (Array.init d (fun k -> (lo.(k), hi.(k))))
+    else None
+  in
+  let tile k =
+    let pts = Array.of_list (List.rev !(Hashtbl.find tbl k)) in
+    match full_box pts with
+    | Some b -> Runtime.Exec.Box b
+    | None -> Runtime.Exec.Points pts
+  in
+  (Array.map tile keys, Array.map fst keys)
+
+let test_pped_tiles_match_reference () =
+  List.iter
+    (fun (name, sched) ->
+      checkb (name ^ ": parallelepiped") true
+        (match sched.Codegen.tile with Tile.Pped _ -> true | Tile.Rect _ -> false);
+      let part = Runtime.Resilient.tiles_of_schedule sched in
+      let tiles, owners = reference_tiles sched in
+      check (name ^ ": tile count") (Array.length tiles)
+        (Array.length part.Runtime.Resilient.tiles);
+      checkb (name ^ ": owners") true (owners = part.Runtime.Resilient.owners);
+      checkb (name ^ ": tiles, points and order") true
+        (tiles = part.Runtime.Resilient.tiles))
+    (skewed_schedules ())
+
+(* Ragged tiles add their footprints address by address: the sets must
+   be exactly the ones an instrumented execution collects. *)
+let test_points_footprints_match_measure () =
+  List.iter
+    (fun (name, sched) ->
+      let part = Runtime.Resilient.tiles_of_schedule sched in
+      checkb (name ^ ": has ragged tiles") true
+        (Array.exists
+           (function Runtime.Exec.Points _ -> true | Runtime.Exec.Box _ -> false)
+           part.Runtime.Resilient.tiles);
+      let work =
+        Runtime.Exec.Tiled
+          { tiles = part.Runtime.Resilient.tiles; owners = part.Runtime.Resilient.owners }
+      in
+      let compiled = Runtime.Exec.compile sched.Codegen.nest in
+      let mode = Runtime.Measure.Exact in
+      Runtime.Pool.with_pool sched.Codegen.nprocs (fun pool ->
+          let touched = Runtime.Exec.footprints pool compiled work ~mode in
+          let inst = Runtime.Exec.measure pool compiled work ~steps:1 ~mode in
+          checkb (name ^ ": per-domain footprints") true
+            (Array.map Runtime.Measure.touched_count touched
+            = inst.Runtime.Exec.footprints);
+          check (name ^ ": distinct total") inst.Runtime.Exec.distinct_total
+            (Runtime.Measure.union_count touched)))
+    (skewed_schedules ())
+
+let test_bounding_box_volume () =
+  let open Runtime.Exec in
+  let full = [| [| 2; 5 |]; [| 2; 6 |]; [| 3; 5 |]; [| 3; 6 |] |] in
+  let b = bounding_box 2 full in
+  checkb "box of a full box" true (b = [| (2, 3); (5, 6) |]);
+  check "full box: volume = count" (Array.length full) (box_volume b);
+  let ragged = [| [| 1; 1 |]; [| 2; 3 |] |] in
+  check "ragged: volume exceeds count" 6 (box_volume (bounding_box 2 ragged));
+  check "no points: empty box" 0 (box_volume (bounding_box 2 [||]));
+  checkb "arity mismatch rejected" true
+    (raises_invalid (fun () -> ignore (bounding_box 3 full)))
 
 (* ------------------------------------------------------------------ *)
 (* Codegen.load_balance regression (satellite)                         *)
@@ -473,6 +592,15 @@ let () =
             test_dynamic_policies_execute_everything;
           Alcotest.test_case "out-of-space work rejected" `Quick
             test_out_of_space_work_rejected;
+        ] );
+      ( "tiles",
+        [
+          Alcotest.test_case "parallelepiped grouping = reference" `Quick
+            test_pped_tiles_match_reference;
+          Alcotest.test_case "ragged-tile footprints = measure" `Quick
+            test_points_footprints_match_measure;
+          Alcotest.test_case "bounding box volume = count" `Quick
+            test_bounding_box_volume;
         ] );
       ( "codegen regression",
         [

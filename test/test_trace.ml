@@ -99,29 +99,36 @@ let test_counters_match_tile_counts () =
   let sched = Driver.schedule a in
   let ntiles = Partition.Codegen.num_tiles sched in
   let steps = Runtime.Exec.steps_of_nest nest in
-  let trace = Trace.create ~domains:nprocs () in
-  let config =
-    {
-      Driver.default_exec_config with
-      Driver.repeats;
-      trace = Some trace;
-    }
-  in
-  ignore (Driver.execute ~config a);
-  let s = Trace.summary trace in
-  let expected = ntiles * steps * repeats in
-  checki "tiles_run counter covers every (tile, step, repeat)" expected
-    s.Trace.tiles_run;
-  let tile_spans =
-    List.length
-      (List.filter
-         (fun e -> e.Trace.kind = Trace.Tile)
-         (Trace.events trace))
-  in
-  checki "one tile span per (tile, step, repeat)" expected tile_spans;
-  checki "no ring overflow at this scale" 0 s.Trace.dropped;
-  (* The instrumented pass feeds the footprint counter. *)
-  checkb "elements touched recorded" true (s.Trace.elements_touched > 0)
+  List.iter
+    (fun kernels ->
+      let what = if kernels then "kernels" else "interpreter" in
+      let trace = Trace.create ~domains:nprocs () in
+      let config =
+        {
+          Driver.default_exec_config with
+          Driver.repeats;
+          kernels;
+          trace = Some trace;
+        }
+      in
+      ignore (Driver.execute ~config a);
+      let s = Trace.summary trace in
+      let expected = ntiles * steps * repeats in
+      checki (what ^ ": tiles_run counter covers every (tile, step, repeat)")
+        expected s.Trace.tiles_run;
+      let tile_spans =
+        List.length
+          (List.filter
+             (fun e -> e.Trace.kind = Trace.Tile)
+             (Trace.events trace))
+      in
+      checki (what ^ ": one tile span per (tile, step, repeat)") expected
+        tile_spans;
+      checki (what ^ ": no ring overflow at this scale") 0 s.Trace.dropped;
+      (* The footprint pass feeds the footprint counter. *)
+      checkb (what ^ ": elements touched recorded") true
+        (s.Trace.elements_touched > 0))
+    [ false; true ]
 
 let test_resilient_counters_match_cover () =
   let nest = Programs.stencil5 ~n:17 ~steps:2 () in
@@ -201,13 +208,17 @@ let test_overhead_budget () =
   let a = Driver.analyze ~nprocs nest in
   let sched = Driver.schedule a in
   let compiled = Runtime.Exec.compile nest in
-  let plan = Runtime.Kernel.plan compiled in
-  let boxes = Runtime.Kernel.boxes_of_schedule sched in
+  let runner = Runtime.Kernel.run_tile (Runtime.Kernel.plan compiled) in
+  let work =
+    let p = Runtime.Resilient.tiles_of_schedule sched in
+    Runtime.Exec.Tiled
+      { tiles = p.Runtime.Resilient.tiles; owners = p.Runtime.Resilient.owners }
+  in
   let steps = Runtime.Exec.steps_of_nest nest in
   Runtime.Pool.with_pool nprocs (fun pool ->
       let once trace () =
         let w, _, _, _ =
-          Runtime.Kernel.time ~trace pool plan ~boxes ~steps ~repeats:1
+          Runtime.Exec.time ~trace ~runner pool compiled work ~steps ~repeats:1
         in
         w
       in
