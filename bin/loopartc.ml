@@ -223,8 +223,10 @@ let run_cmd =
     let doc =
       "Lower tiles to specialized strided kernels (incremental address \
        bumps, unit-stride-innermost traversal, shape fast paths) instead \
-       of interpreting point by point.  Effective for $(b,tiled) runs over \
-       rectangular tiles and for resilient box tiles."
+       of interpreting point by point.  Applies under every $(b,--policy) \
+       and to resilient runs: box tiles and the sub-boxes of every claimed \
+       range run on the kernels, ragged parallelepiped tiles stay \
+       interpreted."
     in
     Arg.(value & flag & info [ "kernels" ] ~doc)
   in
@@ -317,7 +319,6 @@ let run_cmd =
         in
         let config =
           {
-            Loopart.Driver.default_exec_config with
             Loopart.Driver.policy;
             repeats;
             steps;

@@ -43,7 +43,6 @@ type exec_config = {
   policy : exec_policy;
   repeats : int;
   steps : int option;
-  footprint : Runtime.Measure.mode;
   kernels : bool;
   trace : Runtime.Trace.t option;
 }
@@ -53,7 +52,6 @@ let default_exec_config =
     policy = Tiled;
     repeats = 3;
     steps = None;
-    footprint = Runtime.Measure.Auto;
     kernels = false;
     trace = None;
   }
@@ -67,60 +65,42 @@ let policy_name = function
   | Guided -> "guided self-scheduling"
   | Work_steal c -> Printf.sprintf "tiled + work stealing (chunk %d)" c
 
-(* All iterations in lexicographic order: the stream the run-time
-   schedulers grab chunks from. *)
-let lex_points nest = Array.of_list (Scheduling.cyclic nest ~nprocs:1).(0)
-
 (* Every policy takes one path: build the work, run it, report.  The
-   compile-time tiles run on the kernels when asked, else on the
-   interpreter; the run-time schedulers always interpret. *)
+   compile-time tiles are owned (Tiled) or drained with stealing
+   (Work_steal); the other policies claim ranges of the iteration space.
+   Every tile and claimed sub-tile runs on the kernels when asked, else
+   on the interpreter. *)
 let execute ?(config = default_exec_config) ?tile a =
   let nest = a.nest in
   let sched = schedule ?tile a in
   let compiled = Runtime.Exec.compile nest in
+  let tiled () =
+    let p = Runtime.Resilient.tiles_of_schedule sched in
+    (p.Runtime.Resilient.tiles, p.Runtime.Resilient.owners)
+  in
+  let dynamic chunk = (Runtime.Exec.Dynamic { chunk }, None) in
   let work, predicted =
     match config.policy with
     | Tiled ->
-        let p = Runtime.Resilient.tiles_of_schedule sched in
+        let tiles, owners = tiled () in
         let per_tile = Cost.misses_per_tile a.cost sched.Codegen.tile in
         let tiles_per_proc =
-          Intmath.Int_math.ceil_div (Array.length p.Runtime.Resilient.tiles)
-            a.nprocs
+          Intmath.Int_math.ceil_div (Array.length tiles) a.nprocs
         in
-        ( Runtime.Exec.Tiled
-            {
-              tiles = p.Runtime.Resilient.tiles;
-              owners = p.Runtime.Resilient.owners;
-            },
-          Some (per_tile * tiles_per_proc) )
+        (Runtime.Exec.Tiled { tiles; owners }, Some (per_tile * tiles_per_proc))
     | Work_steal chunk ->
-        ( Runtime.Exec.queues_of_assignment
-            (Scheduling.of_schedule sched)
-            ~chunk,
-          None )
-    | Cyclic ->
-        (Runtime.Exec.Dynamic
-           { points = lex_points nest; chunk = (fun ~remaining:_ -> 1) },
-         None)
+        let tiles, owners = tiled () in
+        (Runtime.Exec.Steal { tiles; owners; chunk }, None)
+    | Cyclic -> dynamic (fun ~remaining:_ -> 1)
     | Block_cyclic chunk ->
         if chunk < 1 then invalid_arg "Driver.execute: chunk < 1";
-        (Runtime.Exec.Dynamic
-           { points = lex_points nest; chunk = (fun ~remaining:_ -> chunk) },
-         None)
+        dynamic (fun ~remaining:_ -> chunk)
     | Guided ->
-        (Runtime.Exec.Dynamic
-           {
-             points = lex_points nest;
-             chunk =
-               (fun ~remaining ->
-                 Intmath.Int_math.ceil_div remaining a.nprocs);
-           },
-         None)
+        dynamic (fun ~remaining ->
+            Intmath.Int_math.ceil_div remaining a.nprocs)
   in
   let kernel =
-    if config.kernels && config.policy = Tiled then
-      Some (Runtime.Kernel.plan compiled)
-    else None
+    if config.kernels then Some (Runtime.Kernel.plan compiled) else None
   in
   let steps = Runtime.Exec.steps_of_nest ?override:config.steps nest in
   let raw =
@@ -128,17 +108,14 @@ let execute ?(config = default_exec_config) ?tile a =
         Runtime.Exec.run ~trace:(trace_of config)
           ?runner:(Option.map Runtime.Kernel.run_tile kernel)
           pool compiled work ~steps ~repeats:config.repeats
-          ~mode:config.footprint)
+          ~mode:Runtime.Measure.Exact)
   in
-  (* Only a rectangular schedule runs every tile on the kernel; a
-     parallelepiped one keeps its ragged tiles interpreted, and its
-     label. *)
   let policy =
-    match (kernel, sched.Codegen.tile) with
-    | Some plan, Tile.Rect _ ->
-        Printf.sprintf "compile-time tiles + %s kernel"
+    match kernel with
+    | Some plan ->
+        Printf.sprintf "%s + %s kernel" (policy_name config.policy)
           (Runtime.Kernel.shape plan)
-    | _ -> policy_name config.policy
+    | None -> policy_name config.policy
   in
   Runtime.Measure.report ~name:nest.Nest.name ~policy ~steps
     ~repeats:config.repeats
@@ -178,16 +155,8 @@ let simulate_aligned ?tile ?(geometry = Cache.Infinite) a =
     }
 
 let report ppf a =
-  (* [Nest.pp] flushes after each line, which would close this report's
-     vertical box and run the later sections together; print its lines
-     as cuts instead. *)
-  let nest_lines =
-    String.split_on_char '\n' (String.trim (Nest.to_string a.nest))
-  in
   Format.fprintf ppf "@[<v>=== %s on %d processors ===@,@,%a@,@,"
-    a.nest.Nest.name a.nprocs
-    (Format.pp_print_list Format.pp_print_string)
-    nest_lines;
+    a.nest.Nest.name a.nprocs Nest.pp a.nest;
   Format.fprintf ppf "%a@,@," Cost.pp a.cost;
   Format.fprintf ppf "--- rectangular partition ---@,%a@,@,"
     Rectangular.pp_result a.rect;

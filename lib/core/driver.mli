@@ -51,20 +51,18 @@ type exec_policy =
   | Block_cyclic of int  (** run-time self-scheduling, fixed chunk *)
   | Guided  (** guided self-scheduling (the paper's reference [1]) *)
   | Work_steal of int
-      (** tiled queues drained by their owners with back-stealing *)
+      (** the compile-time tiles, drained by their owners in chunks of
+          this many iterations, with back-stealing *)
 
 type exec_config = {
   policy : exec_policy;
   repeats : int;  (** timed runs; minimum is reported *)
   steps : int option;  (** override the outer [Doseq] trip count *)
-  footprint : Runtime.Measure.mode;
   kernels : bool;
-      (** run box tiles on {!Runtime.Kernel}'s specialized strided loops
-          instead of interpreting them point by point: every tile of a
-          rectangular schedule, the box-shaped tile groups of a
-          parallelepiped one (its ragged tiles stay interpreted), under
-          the [Tiled] policy and in {!execute_resilient}; the run-time
-          scheduling policies always interpret *)
+      (** run boxes on {!Runtime.Kernel}'s strided loops instead of the
+          interpreter, under every policy and in {!execute_resilient}:
+          rectangular tiles, box-shaped parallelepiped groups (ragged
+          tiles stay interpreted) and the sub-boxes of claimed ranges *)
   trace : Runtime.Trace.t option;
       (** record per-domain spans and counters into this recorder during
           the timed passes (size it for [analysis.nprocs]); under the
@@ -72,19 +70,19 @@ type exec_config = {
 }
 
 val default_exec_config : exec_config
-(** [Tiled], 3 repeats, the nest's own step count, [Auto] footprints,
-    interpreter (no kernels), no trace. *)
+(** [Tiled], 3 repeats, the nest's own step count, interpreter (no
+    kernels), no trace. *)
 
 val execute :
   ?config:exec_config -> ?tile:Tile.t -> analysis -> Runtime.Measure.report
 (** Execute the nest on [analysis.nprocs] domains and measure per-domain
-    wall-clock, iterations and distinct-elements footprints, alongside
-    the Theorem 2/4 prediction when the policy is [Tiled].  One path for
-    every policy: build the work, {!Runtime.Exec.run} it, report.  Under
-    [Tiled] the work is {!Runtime.Resilient.tiles_of_schedule}'s tiles,
-    run on the interpreter or, with [config.kernels], on
-    {!Runtime.Kernel.run_tile}; their footprints come from the tiles
-    ({!Runtime.Exec.footprints}), with no second execution. *)
+    wall-clock, iterations and exact distinct-elements footprints,
+    alongside the Theorem 2/4 prediction when the policy is [Tiled].
+    One path for every policy: build the work, {!Runtime.Exec.run} it,
+    report.  [Tiled] and [Work_steal] run
+    {!Runtime.Resilient.tiles_of_schedule}'s tiles, the self-scheduling
+    policies claim ranges of the iteration space, and no policy lists
+    iteration points. *)
 
 val execute_resilient :
   ?config:exec_config ->
@@ -97,8 +95,8 @@ val execute_resilient :
     watchdog timeouts, tile-level crash recovery and policy-driven
     retry/degradation.  [plan] injects faults for testing; when degrading
     shrinks the pool, the partition is re-optimized for the smaller
-    processor count.  [config.repeats] and [config.footprint] are
-    ignored (a resilient run is a single monitored execution). *)
+    processor count.  [config.repeats] and [config.policy] are ignored
+    (a resilient run is a single monitored execution of the tiles). *)
 
 val validate : ?tile:Tile.t -> analysis -> Runtime.Validate.verdict
 (** Run the tiled schedule through both {!Machine.Sim} and the runtime

@@ -96,52 +96,44 @@ let array_extent_hints t =
       (name, Array.init (Array.length lo) (fun j -> hi.(j) - lo.(j) + 1)))
     (array_bounding_boxes t)
 
+(* One line per loop header, statement and loop end, printed as the
+   cuts of a vertical box, so the caller's enclosing boxes survive. *)
 let pp ppf t =
   let var_names = vars t in
-  let indent n = String.make (2 * n) ' ' in
-  let level = ref 0 in
-  (match t.seq with
-  | Some s ->
-      Format.fprintf ppf "%sDoseq (%s, %d, %d)@." (indent !level) s.var
-        s.lower s.upper;
-      incr level
-  | None -> ());
-  List.iter
-    (fun l ->
-      Format.fprintf ppf "%sDoall (%s, %d, %d)@." (indent !level) l.var
-        l.lower l.upper;
-      incr level)
-    t.loops;
-  let writes, reads =
-    List.partition Reference.is_write_like t.body
+  let line depth s = String.make (2 * depth) ' ' ^ s in
+  let rf r = Format.asprintf "%a" (Reference.pp ~vars:var_names) r in
+  let seq = Option.to_list t.seq in
+  let loops = seq @ t.loops in
+  let depth = List.length loops in
+  let heads =
+    List.mapi
+      (fun i l ->
+        line i
+          (Printf.sprintf "%s (%s, %d, %d)"
+             (if i < List.length seq then "Doseq" else "Doall")
+             l.var l.lower l.upper))
+      loops
   in
-  (match (writes, reads) with
-  | [ w ], _ :: _ ->
-      Format.fprintf ppf "%s%a = %s@." (indent !level)
-        (Reference.pp ~vars:var_names)
-        w
-        (String.concat " + "
-           (List.map
-              (fun r ->
-                Format.asprintf "%a" (Reference.pp ~vars:var_names) r)
-              reads))
-  | _ ->
-      List.iter
-        (fun r ->
-          Format.fprintf ppf "%s%s %a@." (indent !level)
-            (Reference.kind_to_string r.Reference.kind)
-            (Reference.pp ~vars:var_names)
-            r)
-        t.body);
-  List.iter
-    (fun _ ->
-      decr level;
-      Format.fprintf ppf "%sEndDoall@." (indent !level))
-    t.loops;
-  match t.seq with
-  | Some _ ->
-      decr level;
-      Format.fprintf ppf "%sEndDoseq@." (indent !level)
-  | None -> ()
+  let writes, reads = List.partition Reference.is_write_like t.body in
+  let body =
+    match (writes, reads) with
+    | [ w ], _ :: _ ->
+        [ line depth (rf w ^ " = " ^ String.concat " + " (List.map rf reads)) ]
+    | _ ->
+        List.map
+          (fun r ->
+            line depth (Reference.kind_to_string r.Reference.kind ^ " " ^ rf r))
+          t.body
+  in
+  let ends =
+    List.rev
+      (List.mapi
+         (fun i _ ->
+           line i (if i < List.length seq then "EndDoseq" else "EndDoall"))
+         loops)
+  in
+  Format.fprintf ppf "@[<v>%a@]"
+    (Format.pp_print_list Format.pp_print_string)
+    (heads @ body @ ends)
 
-let to_string t = Format.asprintf "%a" pp t
+let to_string t = Format.asprintf "%a@." pp t

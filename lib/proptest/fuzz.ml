@@ -61,8 +61,6 @@ let replay_command o =
   Printf.sprintf "loopartc fuzz --seed %d --count %d%s" o.seed o.count fault_arg
 
 let render_failure o f =
-  (* Plain strings: Nest.pp emits raw newlines, which would desync any
-     enclosing Format box. *)
   String.concat "\n"
     [
       Printf.sprintf "oracle violation in case %d of seed %d:" f.case.Gen.id

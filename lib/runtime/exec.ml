@@ -53,7 +53,6 @@ let compile nest =
   }
 
 let nest c = c.nest
-let layout c = c.layout
 let total_elements c = Layout.total_elements c.layout
 let reads c = c.reads
 let writes c = c.writes
@@ -120,21 +119,20 @@ let plain_write_addresses c (p : int array) =
   |> List.filter_map (fun (r, accumulate) ->
          if accumulate then None else Some (addr r p))
 
-(* Every point of an inclusive box, lexicographically, through one
-   reused point array: [f] must not retain its argument. *)
-let iter_box (b : (int * int) array) f =
-  let d = Array.length b in
-  let point = Array.map fst b in
-  let rec go k =
-    if k = d then f point
-    else
-      let lo, hi = b.(k) in
-      for v = lo to hi do
-        point.(k) <- v;
-        go (k + 1)
-      done
-  in
-  go 0
+(* Every point of an inclusive box, lexicographically, through the
+   reused point array [point] of the box's arity: [f] must not retain
+   its argument. *)
+let rec iter_axes point (b : (int * int) array) f k =
+  let lo, hi = b.(k) and last = k = Array.length b - 1 in
+  for v = lo to hi do
+    point.(k) <- v;
+    if last then f point else iter_axes point b f (k + 1)
+  done
+
+let iter_box_in point b f =
+  if Array.length b = 0 then f point else iter_axes point b f 0
+
+let iter_box b f = iter_box_in (Array.map fst b) b f
 
 (* [hi < lo] is tested, not folded into [max 0 (hi - lo + 1)], which
    wraps for the empty box [(max_int, min_int)] of {!bounding_box}. *)
@@ -147,10 +145,14 @@ let box_volume (b : (int * int) array) =
    the space's arity that is empty or lies inside [bounds]. *)
 let in_space bounds (b : (int * int) array) =
   Array.length b = Array.length bounds
-  && (Array.exists (fun (lo, hi) -> hi < lo) b
-     || Array.for_all2
-          (fun (lo, hi) (blo, bhi) -> blo <= lo && hi <= bhi)
-          b bounds)
+  &&
+  let empty = ref false and inside = ref true in
+  for k = 0 to Array.length b - 1 do
+    let lo, hi = b.(k) and blo, bhi = bounds.(k) in
+    if hi < lo then empty := true;
+    if lo < blo || bhi < hi then inside := false
+  done;
+  !empty || !inside
 
 (* The smallest box holding every point (empty when there are none): a
    point list lies in a space exactly when this box does. *)
@@ -235,14 +237,102 @@ let iter_tile tile f =
 
 let tile_volume = function Box b -> box_volume b | Points pts -> Array.length pts
 
+(* Positions [lo, hi) of box [b]'s axes [k..], axes below [k] fixed in
+   [sub], as sub-boxes in order, each [sub] (boxed as [tile]) set for
+   it; [vol.(k)] counts the points of axes [k..].  Below the outermost axis whose
+   slice changes inside the range, a range is a suffix of its first
+   slice, a block of whole slices and a prefix of its last slice; a
+   suffix or prefix of a k-axis box takes at most k boxes, so a range of
+   a d-axis box at most 2d-1. *)
+let rec box_range b vol sub tile k lo hi f =
+  if k = Array.length b || (lo = 0 && hi = vol.(k)) then begin
+    for j = k to Array.length b - 1 do
+      sub.(j) <- b.(j)
+    done;
+    f tile
+  end
+  else begin
+    (* One-point claims are common and divisions dear: none on the
+       innermost axis, one while the range stays in a slice. *)
+    let inner = vol.(k + 1) in
+    let first = if inner = 1 then lo else lo / inner in
+    let last =
+      if hi <= (first + 1) * inner then first
+      else if inner = 1 then hi - 1
+      else (hi - 1) / inner
+    in
+    if first = last then part b vol sub tile k first first lo hi f
+    else begin
+      let from =
+        if lo = first * inner then first
+        else (
+          part b vol sub tile k first first lo ((first + 1) * inner) f;
+          first + 1)
+      in
+      let upto = if hi = (last + 1) * inner then last else last - 1 in
+      if from <= upto then
+        part b vol sub tile k from upto (from * inner) ((upto + 1) * inner) f;
+      if upto < last then part b vol sub tile k last last (last * inner) hi f
+    end
+  end
+
+(* Positions [lo, hi) within slices [s .. t] of axis [k]; the axis's
+   bounds are stored afresh only when they change. *)
+and part b vol sub tile k s t lo hi f =
+  let inner = vol.(k + 1) and base = fst b.(k) in
+  let l, h = sub.(k) in
+  if l <> base + s || h <> base + t then sub.(k) <- (base + s, base + t);
+  box_range b vol sub tile (k + 1) (lo - (s * inner)) (hi - (t * inner)) f
+
+let iter_range tiles =
+  let n = Array.length tiles in
+  let starts = Array.make (n + 1) 0 in
+  Array.iteri (fun t tile -> starts.(t + 1) <- starts.(t) + tile_volume tile) tiles;
+  let vols =
+    Array.map
+      (function
+        | Points _ -> [||]
+        | Box b ->
+            let vol = Array.make (Array.length b + 1) 1 in
+            for k = Array.length b - 1 downto 0 do
+              vol.(k) <- vol.(k + 1) * (snd b.(k) - fst b.(k) + 1)
+            done;
+            vol)
+      tiles
+  in
+  let d = Array.fold_left (fun d vol -> max d (Array.length vol - 1)) 0 vols in
+  let sub = Array.make d (0, 0) in
+  let tile = Box sub in
+  fun ~lo ~hi f ->
+    (* The tile holding [lo]: the last [t] with [starts.(t) <= lo]. *)
+    let a = ref 0 and z = ref n in
+    while !z - !a > 1 do
+      let mid = (!a + !z) / 2 in
+      if starts.(mid) <= lo then a := mid else z := mid
+    done;
+    let t = ref !a in
+    while !t < n && starts.(!t) < hi do
+      let s = starts.(!t) in
+      let l = Int.max lo s - s and h = Int.min hi starts.(!t + 1) - s in
+      (if l < h then
+         match tiles.(!t) with
+         | Box b -> box_range b vols.(!t) sub tile 0 l h f
+         | Points pts -> f (Points (Array.sub pts l (h - l))));
+      incr t
+    done
+
 type runner = storage -> tile -> unit
 
-let run_tile c storage tile = iter_tile tile (exec_point c storage)
+(* One point array per application, reused for every box. *)
+let run_tile c storage =
+  let point = Array.make (Nest.nesting c.nest) 0 in
+  let body = exec_point c storage in
+  function Box b -> iter_box_in point b body | Points pts -> Array.iter body pts
 
 type work =
   | Tiled of { tiles : tile array; owners : int array }
-  | Dynamic of { points : Ivec.t array; chunk : remaining:int -> int }
-  | Steal of { queues : Ivec.t array array; chunk : int }
+  | Dynamic of { chunk : remaining:int -> int }
+  | Steal of { tiles : tile array; owners : int array; chunk : int }
 
 let static_of_assignment (a : Partition.Scheduling.assignment) =
   Tiled
@@ -250,9 +340,6 @@ let static_of_assignment (a : Partition.Scheduling.assignment) =
       tiles = Array.map (fun pts -> Points (Array.of_list pts)) a;
       owners = Array.init (Array.length a) Fun.id;
     }
-
-let queues_of_assignment (a : Partition.Scheduling.assignment) ~chunk =
-  Steal { queues = Array.map Array.of_list a; chunk }
 
 let steps_of_nest ?override nest =
   match override with
@@ -264,7 +351,6 @@ let steps_of_nest ?override nest =
       | Some l -> l.Nest.upper - l.Nest.lower + 1
       | None -> 1)
 
-(* Tile ids by owning domain, each domain's in tile-id order. *)
 let tiles_by_owner ~nprocs owners =
   let by = Array.make nprocs [] in
   for t = Array.length owners - 1 downto 0 do
@@ -272,89 +358,87 @@ let tiles_by_owner ~nprocs owners =
   done;
   Array.map Array.of_list by
 
+(* Self-scheduled work as tile sequences (the iteration space; each
+   owner's tiles), [claim p k] passing domain [p]'s next range to
+   [k seq lo hi] ([false] when none is left), and a per-step [reset]. *)
+let claims ?(trace = Trace.disabled) ~nprocs c = function
+  | Tiled _ -> ([||], (fun _ _ -> false), ignore)
+  | Dynamic { chunk } ->
+      let bounds = Nest.bounds c.nest in
+      let counter = Pool.Counter.create ~total:(box_volume bounds) in
+      ( [| [| Box bounds |] |],
+        (fun _ k ->
+          match Pool.Counter.next counter ~chunk with
+          | Some (lo, hi) -> k 0 lo hi; true
+          | None -> false),
+        fun () -> Pool.Counter.reset counter )
+  | Steal { tiles; owners; chunk } ->
+      let seqs =
+        Array.map (Array.map (Array.get tiles)) (tiles_by_owner ~nprocs owners)
+      in
+      let deques =
+        Pool.Deques.create
+          ~lengths:
+            (Array.map (Array.fold_left (fun n t -> n + tile_volume t) 0) seqs)
+      in
+      let claim p k =
+        match Pool.Deques.pop deques ~me:p ~chunk with
+        | Some (owner, lo, hi) ->
+            if owner <> p then begin
+              Trace.incr trace p Trace.Steals;
+              Trace.instant trace p Trace.Steal ~arg:lo
+            end;
+            k owner lo hi;
+            true
+        | None -> false
+      in
+      (seqs, claim, fun () -> Pool.Deques.reset deques)
+
 (* The one step loop: [steps] outer iterations of the work on the pool.
-   Domain [p] runs each of its tiles with [run_tile p] and each point of
-   a claimed chunk with [visit p]; shared scheduling state is reset by
-   domain 0 between the two barriers that bracket each step.  With a
-   live [trace], barrier waits and per-tile (or per-chunk) claims become
-   spans. *)
-let step_loop ?(trace = Trace.disabled) pool work ~steps ~run_tile ~visit
-    ~seconds ~iterations =
-  let counter =
+   Domain [p] runs each tile it owns, then each sub-tile of every range
+   it claims, with [run_tile p]; shared claim state is reset by domain 0
+   between the two barriers that bracket each step.  With a live
+   [trace], barrier waits and per-tile (or per-claim) spans are
+   recorded. *)
+let step_loop ?(trace = Trace.disabled) pool c work ~steps ~run_tile ~seconds
+    ~iterations =
+  let nprocs = Pool.size pool in
+  let seqs, claim, reset = claims ~trace ~nprocs c work in
+  let tiles, my_tiles =
     match work with
-    | Dynamic { points; _ } -> Some (Pool.Counter.create ~total:(Array.length points))
-    | Tiled _ | Steal _ -> None
-  in
-  let deques =
-    match work with
-    | Steal { queues; _ } ->
-        Some (Pool.Deques.create ~lengths:(Array.map Array.length queues))
-    | Tiled _ | Dynamic _ -> None
-  in
-  let my_tiles =
-    match work with
-    | Tiled { owners; _ } -> tiles_by_owner ~nprocs:(Pool.size pool) owners
-    | Dynamic _ | Steal _ -> [||]
+    | Tiled { tiles; owners } -> (tiles, tiles_by_owner ~nprocs owners)
+    | Dynamic _ | Steal _ -> ([||], Array.make nprocs [||])
   in
   Pool.run pool (fun p barrier ->
+      let run = run_tile p and ranges = Array.map iter_range seqs in
       let sense = ref false in
       let mine = ref 0 in
+      let run_range seq lo hi =
+        Trace.begin_span trace p Trace.Chunk ~arg:lo;
+        ranges.(seq) ~lo ~hi run;
+        Trace.end_span trace p;
+        mine := !mine + (hi - lo)
+      in
       let yielded = ref 0 in
       let t0 = Mclock.now () in
       for step = 1 to steps do
-        (if p = 0 then
-           match counter, deques with
-           | Some c, _ -> Pool.Counter.reset c
-           | _, Some d -> Pool.Deques.reset d
-           | None, None -> ());
+        if p = 0 then reset ();
         Trace.begin_span trace p Trace.Barrier ~arg:step;
         Pool.Barrier.wait barrier ~sense ~yielded;
         Trace.end_span trace p;
         Trace.begin_span trace p Trace.Step ~arg:step;
-        (match work with
-        | Tiled { tiles; _ } ->
-            let ids = my_tiles.(p) in
-            for j = 0 to Array.length ids - 1 do
-              let t = Array.unsafe_get ids j in
-              Trace.begin_span trace p Trace.Tile ~arg:t;
-              run_tile p tiles.(t);
-              mine := !mine + tile_volume tiles.(t);
-              Trace.end_span trace p;
-              Trace.incr trace p Trace.Tiles_run
-            done
-        | Dynamic { points; chunk } ->
-            let c = Option.get counter in
-            let continue = ref true in
-            while !continue do
-              match Pool.Counter.next c ~chunk with
-              | None -> continue := false
-              | Some (lo, hi) ->
-                  Trace.begin_span trace p Trace.Chunk ~arg:lo;
-                  for i = lo to hi - 1 do
-                    visit p (Array.unsafe_get points i)
-                  done;
-                  Trace.end_span trace p;
-                  mine := !mine + (hi - lo)
-            done
-        | Steal { queues; chunk } ->
-            let d = Option.get deques in
-            let continue = ref true in
-            while !continue do
-              match Pool.Deques.pop d ~me:p ~chunk with
-              | None -> continue := false
-              | Some (owner, lo, hi) ->
-                  if owner <> p then begin
-                    Trace.incr trace p Trace.Steals;
-                    Trace.instant trace p Trace.Steal ~arg:lo
-                  end;
-                  Trace.begin_span trace p Trace.Chunk ~arg:lo;
-                  let pts = queues.(owner) in
-                  for i = lo to hi - 1 do
-                    visit p (Array.unsafe_get pts i)
-                  done;
-                  Trace.end_span trace p;
-                  mine := !mine + (hi - lo)
-            done);
+        let ids = my_tiles.(p) in
+        for j = 0 to Array.length ids - 1 do
+          let t = Array.unsafe_get ids j in
+          Trace.begin_span trace p Trace.Tile ~arg:t;
+          run tiles.(t);
+          mine := !mine + tile_volume tiles.(t);
+          Trace.end_span trace p;
+          Trace.incr trace p Trace.Tiles_run
+        done;
+        while claim p run_range do
+          ()
+        done;
         Trace.end_span trace p;
         Trace.begin_span trace p Trace.Barrier ~arg:step;
         Pool.Barrier.wait barrier ~sense ~yielded;
@@ -365,50 +449,33 @@ let step_loop ?(trace = Trace.disabled) pool work ~steps ~run_tile ~visit
       iterations.(p) <- !mine)
 
 (* The body's loads and stores are unchecked, so work reaching outside
-   the iteration space is refused before any of it runs. *)
-let check_work pool c work =
-  let n = Pool.size pool in
-  (match work with
-  | Tiled { tiles; owners } ->
-      if Array.length owners <> Array.length tiles then
-        invalid_arg "Exec: tiled work with owners/tiles length mismatch";
-      Array.iter
-        (fun o ->
-          if o < 0 || o >= n then
-            invalid_arg
-              (Printf.sprintf "Exec: tile owner %d outside %d-domain pool" o n))
-        owners
-  | Steal { queues; _ } when Array.length queues <> n ->
-      invalid_arg
-        (Printf.sprintf "Exec: %d-domain pool given %d-way queues" n
-           (Array.length queues))
-  | Dynamic _ | Steal _ -> ());
-  let bounds = Nest.bounds c.nest in
-  let check_box b =
-    if not (in_space bounds b) then
-      invalid_arg "Exec: work outside the iteration space"
-  in
-  let check_points pts = check_box (bounding_box (Array.length bounds) pts) in
-  match work with
-  | Tiled { tiles; _ } ->
-      Array.iter
-        (function Box b -> check_box b | Points pts -> check_points pts)
-        tiles
-  | Dynamic { points; _ } -> check_points points
-  | Steal { queues; _ } -> Array.iter check_points queues
+   the iteration space is refused before any of it runs.  Self-scheduled
+   dynamic work is the iteration space itself. *)
+let check_work c ~nprocs = function
+  | Dynamic _ -> ()
+  | Tiled { tiles; owners } | Steal { tiles; owners; _ } ->
+      if
+        Array.length owners <> Array.length tiles
+        || Array.exists (fun o -> o < 0 || o >= nprocs) owners
+      then invalid_arg (Printf.sprintf "Exec: work unfit for %d domains" nprocs);
+      let bounds = Nest.bounds c.nest in
+      let box = function
+        | Box b -> b
+        | Points pts -> bounding_box (Array.length bounds) pts
+      in
+      if not (Array.for_all (fun t -> in_space bounds (box t)) tiles) then
+        invalid_arg "Exec: work outside the iteration space"
 
-(* One uninstrumented execution on the given operands: tiles through
-   [runner], chunk points through the interpreter. *)
+(* One uninstrumented execution on the given operands, every tile and
+   sub-tile through [runner]. *)
 let pass ?trace ?runner pool c storage work ~steps ~seconds ~iterations =
   let runner = Option.value runner ~default:(run_tile c) in
-  let body = exec_point c storage in
-  step_loop ?trace pool work ~steps
-    ~run_tile:(fun _ t -> runner storage t)
-    ~visit:(fun _ -> body)
+  step_loop ?trace pool c work ~steps
+    ~run_tile:(fun _ -> runner storage)
     ~seconds ~iterations
 
 let one_pass ?trace ?runner pool c storage work ~steps ~seconds ~iterations =
-  check_work pool c work;
+  check_work c ~nprocs:(Pool.size pool) work;
   pass ?trace ?runner pool c storage work ~steps ~seconds ~iterations
 
 (* Every address one reference produces over a box.  A set does not
@@ -459,7 +526,7 @@ let domain_sets pool c ~mode =
       Measure.touched mode ~universe:(total_elements c))
 
 let footprints pool c work ~mode =
-  check_work pool c work;
+  check_work c ~nprocs:(Pool.size pool) work;
   match work with
   | Dynamic _ | Steal _ ->
       invalid_arg "Exec.footprints: self-scheduled work has no fixed owners"
@@ -500,13 +567,15 @@ let observed pool c work ~steps ~mode =
     observers.(p) point;
     run_body point
   in
-  step_loop pool work ~steps
-    ~run_tile:(fun p t -> iter_tile t (visit p))
-    ~visit ~seconds:(Array.make nprocs 0.0) ~iterations;
+  step_loop pool c work ~steps
+    ~run_tile:(fun p ->
+      let visit = visit p in
+      fun t -> iter_tile t visit)
+    ~seconds:(Array.make nprocs 0.0) ~iterations;
   (touched, storage, iterations)
 
 let measure pool c work ~steps ~mode =
-  check_work pool c work;
+  check_work c ~nprocs:(Pool.size pool) work;
   let touched, storage, iterations = observed pool c work ~steps ~mode in
   {
     footprints = Array.map Measure.touched_count touched;
@@ -519,7 +588,7 @@ let measure pool c work ~steps ~mode =
 
 let time ?trace ?runner pool c work ~steps ~repeats =
   if repeats < 1 then invalid_arg "Exec.time: repeats < 1";
-  check_work pool c work;
+  check_work c ~nprocs:(Pool.size pool) work;
   let nprocs = Pool.size pool in
   let best = ref (infinity, [||], [||], 0.0) in
   for _rep = 1 to repeats do

@@ -29,7 +29,6 @@ val compile : Nest.t -> compiled
 (** Build the layout and index functions. *)
 
 val nest : compiled -> Nest.t
-val layout : compiled -> Machine.Layout.t
 val total_elements : compiled -> int
 
 val reads : compiled -> cref array
@@ -126,8 +125,19 @@ type tile =
 val iter_tile : tile -> (Ivec.t -> unit) -> unit
 (** The tile's points in order, a box through {!iter_box}. *)
 
+val iter_range : tile array -> lo:int -> hi:int -> (tile -> unit) -> unit
+(** [iter_range tiles ~lo ~hi f] hands [f], in order, positions
+    [lo .. hi-1] of the tiles' points in {!iter_tile} order as non-empty
+    sub-tiles: at most [2d - 1] sub-boxes of a [Box], an array slice of
+    [Points] - the claim unit of self-scheduled work.  [iter_range tiles]
+    precomputes the tiles' start positions and holds one box array
+    (boxes share one arity) reused for every sub-box: [f] must not
+    retain a sub-box, and one domain owns the partial application. *)
+
 type runner = storage -> tile -> unit
-(** Executes every iteration of one tile once on the operands. *)
+(** Executes every iteration of one tile once on the operands.  A
+    runner may set up scratch state when applied to the operands, so
+    each domain applies it once and keeps the result to itself. *)
 
 val run_tile : compiled -> runner
 (** The interpreter, {!exec_point} at each point: the default runner
@@ -139,21 +149,30 @@ type work =
           domain (the shape of {!Resilient.partitioned}).  Each domain
           runs its tiles in tile-id order through a {!runner}, and a
           traced run records one claim-to-completion span per tile *)
-  | Dynamic of { points : Ivec.t array; chunk : remaining:int -> int }
-      (** self-scheduling over the lexicographic iteration stream via a
-          shared {!Pool.Counter}: chunk [fun ~remaining:_ -> 1] is
-          cyclic, a constant is block-cyclic, [ceil remaining/P] is
-          guided self-scheduling *)
-  | Steal of { queues : Ivec.t array array; chunk : int }
-      (** per-domain queues (normally the tiled assignment) drained
-          front-first by their owners with back-stealing *)
+  | Dynamic of { chunk : remaining:int -> int }
+      (** self-scheduling: domains claim ranges of the iteration space's
+          lexicographic order from a shared {!Pool.Counter}, sized by
+          [chunk] (1: cyclic, a constant: block-cyclic,
+          [ceil remaining/P]: guided self-scheduling) *)
+  | Steal of { tiles : tile array; owners : int array; chunk : int }
+      (** a [Tiled] partition drained through {!Pool.Deques}: deque [p]
+          holds the positions of domain [p]'s tile sequence, claimed
+          [chunk] at a time by the owner from the front and by thieves
+          from the back *)
 
 val static_of_assignment : Partition.Scheduling.assignment -> work
 (** Per-domain point lists (the schedules of {!Partition.Codegen} /
     {!Partition.Scheduling}) as [Tiled] work: one [Points] tile per
     domain, owned by that domain. *)
 
-val queues_of_assignment : Partition.Scheduling.assignment -> chunk:int -> work
+val tiles_by_owner : nprocs:int -> int array -> int array array
+(** Tile ids by owning domain, each domain's in tile-id order. *)
+
+val check_work : compiled -> nprocs:int -> work -> unit
+(** Raises [Invalid_argument] when [Tiled] or [Steal] work does not fit
+    an [nprocs]-domain pool or holds a box or a point outside the
+    iteration space ({!in_space}): the guard of the unchecked body, run
+    first by every entry point taking [work]. *)
 
 val steps_of_nest : ?override:int -> Nest.t -> int
 (** The outer sequential trip count: [override], else the nest's
@@ -171,10 +190,10 @@ val one_pass :
   iterations:int array ->
   unit
 (** The one step loop: [steps] barrier-separated sweeps of the work over
-    the operands, tiles through [runner] (default {!run_tile}), chunks
-    of self-scheduled points through the interpreter.  Fills per-domain
-    wall seconds ({!Mclock}) and iterations.  A live [trace] records
-    barrier and step spans and one span per tile or chunk claim. *)
+    the operands, every tile and every sub-tile ({!iter_range}) of a
+    claimed range through [runner] (default {!run_tile}).  Fills
+    per-domain wall seconds ({!Mclock}) and iterations.  A live [trace]
+    records barrier and step spans and one span per tile or claim. *)
 
 val footprints :
   Pool.t -> compiled -> work -> mode:Measure.mode -> Measure.touched array
@@ -200,9 +219,7 @@ val measure :
   Pool.t -> compiled -> work -> steps:int -> mode:Measure.mode -> instrumented
 (** One instrumented (untimed) execution on fresh operands, point by
     point: the reference the oracles hold {!footprints} and {!Kernel}
-    to.  Every entry point taking [work] raises [Invalid_argument]
-    before running anything when the work does not fit the pool, or
-    holds a box or a point outside the iteration space ({!in_space}). *)
+    to. *)
 
 val time :
   ?trace:Trace.t ->

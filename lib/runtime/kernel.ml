@@ -13,11 +13,15 @@ type plan = {
   compiled : Exec.compiled;
   nesting : int;
   bounds : (int * int) array;  (** the iteration space *)
-  reads : Exec.cref array;
-  writes : (Exec.cref * bool) array;
   order : int array;  (** traversal order, outermost first *)
   reorderable : bool;
   shape : shape;
+  refs : Exec.cref array;  (** the reads, then the writes *)
+  delta : int array array;
+      (** per reference, its address delta along each traversal axis *)
+  rd : int array;  (** innermost read deltas *)
+  wd : int array;  (** innermost write deltas *)
+  acc : bool array;  (** per write, whether it accumulates *)
 }
 
 let compiled p = p.compiled
@@ -160,29 +164,35 @@ let plan ?(force_generic = false) ?order compiled =
     | None -> choose_order ~nesting ~reorderable reads writes extents
   in
   let shape = if force_generic then Generic else detect_shape reads writes in
-  { compiled; nesting; bounds; reads; writes; order; reorderable; shape }
+  (* Everything a box needs besides its corner addresses. *)
+  let refs = Array.append reads (Array.map fst writes) in
+  let innermost (r : Exec.cref) = r.Exec.m.(order.(nesting - 1)) in
+  {
+    compiled;
+    nesting;
+    bounds;
+    order;
+    reorderable;
+    shape;
+    refs;
+    delta =
+      Array.map (fun (r : Exec.cref) -> Array.map (fun k -> r.Exec.m.(k)) order) refs;
+    rd = Array.map innermost reads;
+    wd = Array.map (fun (w, _) -> innermost w) writes;
+    acc = Array.map snd writes;
+  }
 
 (* Per-axis address delta of each body reference, in original axis
    order: exactly the [m] vector of the compiled reference. *)
 let strides p =
-  let nest = Exec.nest p.compiled in
-  let ri = ref 0 and wi = ref 0 in
+  (* The next read's and the next write's index in [refs]. *)
+  let next = [| 0; Array.length p.rd |] in
   List.map
     (fun (r : Reference.t) ->
-      let cr =
-        if Reference.is_write_like r then begin
-          let cr, _ = p.writes.(!wi) in
-          incr wi;
-          cr
-        end
-        else begin
-          let cr = p.reads.(!ri) in
-          incr ri;
-          cr
-        end
-      in
-      (r, Array.copy cr.Exec.m))
-    nest.Nest.body
+      let w = Bool.to_int (Reference.is_write_like r) in
+      next.(w) <- next.(w) + 1;
+      (r, Array.copy p.refs.(next.(w) - 1).Exec.m))
+    (Exec.nest p.compiled).Nest.body
 
 (* ------------------------------------------------------------------ *)
 (* Box execution                                                       *)
@@ -350,100 +360,78 @@ let inner_generic (data : float array) ~n ~nr ~nw ~(rd : int array)
     done
   done
 
-let run_box p (data : Exec.storage) (b : box) =
-  let d = p.nesting in
-  if Array.length b <> d then invalid_arg "Kernel.run_box: box arity mismatch";
-  if Array.exists (fun (lo, hi) -> hi < lo) b then ()
+(* One innermost row of [n] iterations from the running addresses [a]
+   (the reads', then the writes'), which it does not mutate; the
+   generic loops bump copies in the scratch arrays [ras] and [was]. *)
+let row p (data : float array) ~n ~ras ~was (a : int array) =
+  let rd = p.rd and wd = p.wd in
+  let nr = Array.length rd and nw = Array.length wd in
+  match p.shape with
+  | Copy -> inner_copy data ~n ~dr:rd.(0) ~dw:wd.(0) a.(0) a.(1)
+  | Stencil5 ->
+      let b = a.(0) in
+      inner_stencil5 data ~n ~d:rd.(0) ~dw:wd.(0) ~o1:(a.(1) - b)
+        ~o2:(a.(2) - b) ~o3:(a.(3) - b) ~o4:(a.(4) - b) b a.(5)
+  | Generic -> (
+      if nw <> 1 then begin
+        Array.blit a 0 ras 0 nr;
+        Array.blit a nr was 0 nw;
+        inner_generic data ~n ~nr ~nw ~rd ~wd ~acc:p.acc ras was
+      end
+      else
+        let dw = wd.(0) and is_acc = p.acc.(0) in
+        match nr with
+        | 2 -> inner_gen2 data ~n ~rd ~dw ~is_acc a a.(nr)
+        | 3 -> inner_gen3 data ~n ~rd ~dw ~is_acc a a.(nr)
+        | 4 -> inner_gen4 data ~n ~rd ~dw ~is_acc a a.(nr)
+        | 5 -> inner_gen5 data ~n ~rd ~dw ~is_acc a a.(nr)
+        | _ ->
+            Array.blit a 0 ras 0 nr;
+            inner_generic1 data ~n ~nr ~rd ~dw ~is_acc ras a.(nr))
+
+(* Traversal axes [k..] of the box from the running addresses, which
+   are restored on return. *)
+let rec rows p data b ~ras ~was a k =
+  let lo, hi = b.(p.order.(k)) in
+  let ext = hi - lo + 1 in
+  if k = p.nesting - 1 then row p data ~n:ext ~ras ~was a
+  else if ext = 1 then rows p data b ~ras ~was a (k + 1)
   else begin
+    for _ = 1 to ext do
+      rows p data b ~ras ~was a (k + 1);
+      for i = 0 to Array.length a - 1 do
+        a.(i) <- a.(i) + p.delta.(i).(k)
+      done
+    done;
+    for i = 0 to Array.length a - 1 do
+      a.(i) <- a.(i) - (ext * p.delta.(i).(k))
+    done
+  end
+
+(* The box-independent state lives in the plan; one application to the
+   operands allocates the corner-address and scratch arrays every box
+   then reuses. *)
+let run_box p (data : Exec.storage) =
+  let nr = Array.length p.rd and nw = Array.length p.wd in
+  let ras = Array.make nr 0 and was = Array.make nw 0 in
+  let a = Array.make (nr + nw) 0 in
+  fun (b : box) ->
+    if Array.length b <> p.nesting then
+      invalid_arg "Kernel.run_box: box arity mismatch";
     (* Box loops are unchecked: a non-empty box reaching outside the
        iteration space would address outside the operand buffer. *)
     if not (Exec.in_space p.bounds b) then
       invalid_arg "Kernel: box outside the iteration space";
-    let ord = p.order in
-    let ext = Array.map (fun k -> let lo, hi = b.(k) in hi - lo + 1) ord in
-    let nr = Array.length p.reads and nw = Array.length p.writes in
-    let start (r : Exec.cref) =
-      let a = ref r.Exec.c in
-      Array.iteri (fun k (lo, _) -> a := !a + (r.Exec.m.(k) * lo)) b;
-      !a
-    in
-    (* Running addresses (outer axes), and per-ref deltas permuted into
-       traversal order. *)
-    let ra = Array.map start p.reads in
-    let wa = Array.map (fun (w, _) -> start w) p.writes in
-    let rdelta =
-      Array.map (fun (r : Exec.cref) -> Array.map (fun k -> r.Exec.m.(k)) ord) p.reads
-    in
-    let wdelta =
-      Array.map (fun ((w : Exec.cref), _) -> Array.map (fun k -> w.Exec.m.(k)) ord)
-        p.writes
-    in
-    let n = ext.(d - 1) in
-    let rd = Array.map (fun dl -> dl.(d - 1)) rdelta in
-    let wd = Array.map (fun dl -> dl.(d - 1)) wdelta in
-    (* [inner ra wa] runs the innermost row starting at the given
-       addresses; it must not mutate its arguments. *)
-    let inner =
-      match p.shape with
-      | Copy ->
-          let dr = rd.(0) and dw = wd.(0) in
-          fun (ra : int array) (wa : int array) ->
-            inner_copy data ~n ~dr ~dw ra.(0) wa.(0)
-      | Stencil5 ->
-          let d = rd.(0) and dw = wd.(0) in
-          let o1 = ra.(1) - ra.(0)
-          and o2 = ra.(2) - ra.(0)
-          and o3 = ra.(3) - ra.(0)
-          and o4 = ra.(4) - ra.(0) in
-          fun (ra : int array) (wa : int array) ->
-            inner_stencil5 data ~n ~d ~dw ~o1 ~o2 ~o3 ~o4 ra.(0) wa.(0)
-      | Generic when nw = 1 ->
-          let dw = wd.(0) and is_acc = snd p.writes.(0) in
-          let unrolled =
-            match nr with
-            | 2 -> Some inner_gen2
-            | 3 -> Some inner_gen3
-            | 4 -> Some inner_gen4
-            | 5 -> Some inner_gen5
-            | _ -> None
-          in
-          (match unrolled with
-          | Some f -> fun ra wa -> f data ~n ~rd ~dw ~is_acc ra wa.(0)
-          | None ->
-              let ras = Array.make (max nr 1) 0 in
-              fun ra wa ->
-                Array.blit ra 0 ras 0 nr;
-                inner_generic1 data ~n ~nr ~rd ~dw ~is_acc ras wa.(0))
-      | Generic ->
-          let acc = Array.map snd p.writes in
-          let ras = Array.make (max nr 1) 0 and was = Array.make (max nw 1) 0 in
-          fun ra wa ->
-            Array.blit ra 0 ras 0 nr;
-            Array.blit wa 0 was 0 nw;
-            inner_generic data ~n ~nr ~nw ~rd ~wd ~acc ras was
-    in
-    let rec go k =
-      if k = d - 1 then inner ra wa
-      else begin
-        for _ = 1 to ext.(k) do
-          go (k + 1);
-          for i = 0 to nr - 1 do
-            ra.(i) <- ra.(i) + rdelta.(i).(k)
-          done;
-          for i = 0 to nw - 1 do
-            wa.(i) <- wa.(i) + wdelta.(i).(k)
-          done
-        done;
-        for i = 0 to nr - 1 do
-          ra.(i) <- ra.(i) - (ext.(k) * rdelta.(i).(k))
-        done;
-        for i = 0 to nw - 1 do
-          wa.(i) <- wa.(i) - (ext.(k) * wdelta.(i).(k))
+    if Exec.box_volume b > 0 then begin
+      for i = 0 to Array.length a - 1 do
+        let r = p.refs.(i) in
+        a.(i) <- r.Exec.c;
+        for k = 0 to p.nesting - 1 do
+          a.(i) <- a.(i) + (r.Exec.m.(k) * fst b.(k))
         done
-      end
-    in
-    go 0
-  end
+      done;
+      rows p data b ~ras ~was a 0
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Schedules and parallel execution                                    *)
@@ -463,9 +451,9 @@ let boxes_of_schedule sched =
     ranges;
   Array.map (fun l -> Array.of_list (List.rev l)) by
 
-let run_tile p storage = function
-  | Exec.Box b -> run_box p storage b
-  | Exec.Points _ as t -> Exec.run_tile p.compiled storage t
+let run_tile p storage =
+  let box = run_box p storage and interpret = Exec.run_tile p.compiled storage in
+  function Exec.Box b -> box b | Exec.Points _ as t -> interpret t
 
 let one_pass ?trace pool p storage ~boxes ~steps ~seconds ~iterations =
   let owned =

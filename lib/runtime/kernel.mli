@@ -66,7 +66,10 @@ val run_box : plan -> Exec.storage -> box -> unit
 (** Execute every iteration of the box once (one parallel step's worth
     of one tile).  Degenerate axes (extent 1) are fine; an empty box
     ([hi < lo] somewhere) is a no-op.  Raises [Invalid_argument] for a
-    non-empty box reaching outside the nest's iteration space. *)
+    non-empty box reaching outside the nest's iteration space.  Every
+    box-independent quantity is in the plan; the partial application
+    [run_box plan data] holds the corner-address array its boxes reuse,
+    so it belongs to one domain. *)
 
 val boxes_of_schedule : Partition.Codegen.schedule -> box array array
 (** The schedule's clipped tile boxes grouped by owning processor, each

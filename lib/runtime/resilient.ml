@@ -41,9 +41,7 @@ type config = { policy : policy; deadline_ms : int; stall_poll_ms : int }
 let default_config =
   { policy = default_retry; deadline_ms = 1000; stall_poll_ms = 5 }
 
-type tile = Exec.tile = Box of Kernel.box | Points of Ivec.t array
-
-type partitioned = { nprocs : int; tiles : tile array; owners : int array }
+type partitioned = { nprocs : int; tiles : Exec.tile array; owners : int array }
 
 (* Rectangular tiles come straight from their clipped bounds; only
    parallelepiped tiles are found by grouping the points of one
@@ -60,8 +58,8 @@ let tiles_of_schedule sched =
         Array.to_list (Kernel.boxes_of_schedule sched)
         |> List.mapi (fun p boxes ->
                Array.to_list boxes
-               |> List.filter (fun b -> Kernel.box_volume b > 0)
-               |> List.map (fun b -> (p, Box b)))
+               |> List.filter (fun b -> Exec.box_volume b > 0)
+               |> List.map (fun b -> (p, Exec.Box b)))
         |> List.concat
     | Tile.Pped _ ->
         let index = Codegen.tile_index sched in
@@ -78,7 +76,7 @@ let tiles_of_schedule sched =
         let tile id =
           let pts = Array.of_list (List.rev !(Hashtbl.find groups id)) in
           let b = Exec.bounding_box (Array.length bounds) pts in
-          if Exec.box_volume b = Array.length pts then Box b else Points pts
+          if Exec.box_volume b = Array.length pts then Exec.Box b else Exec.Points pts
         in
         List.rev_map (fun id -> (id mod nprocs, id)) !rev_ids
         |> List.stable_sort (fun (p, _) (q, _) -> Int.compare p q)
@@ -100,11 +98,11 @@ let accumulates_contend compiled tiles =
   in
   let widen (lo, hi) (l, h) = (min lo l, max hi h) in
   let hull = function
-    | Box b ->
+    | Exec.Box b ->
         List.fold_left
           (fun acc w -> widen acc (Exec.addr_interval w b))
           (max_int, min_int) accs
-    | Points pts ->
+    | Exec.Points pts ->
         Array.fold_left
           (fun acc p ->
             List.fold_left
@@ -182,7 +180,7 @@ type ctx = {
   plain_writes : Ivec.t -> int list;
   steps : int;
   recover : bool;  (** tile-level crash recovery enabled *)
-  tiles : tile array;
+  tiles : Exec.tile array;
   queue_tiles : int array array;  (** domain -> tile ids in its deque *)
   deques : Pool.Deques.d;
   hb : int Atomic.t array;  (** per-domain heartbeat: tiles completed *)
@@ -261,7 +259,7 @@ let interruptible_stall ctx ms =
 let corrupt_target ctx t =
   let first =
     match ctx.tiles.(t) with
-    | Box b -> if Kernel.box_volume b > 0 then Some (Array.map fst b) else None
+    | Box b -> if Exec.box_volume b > 0 then Some (Array.map fst b) else None
     | Points pts -> if Array.length pts > 0 then Some pts.(0) else None
   in
   match Option.map ctx.plain_writes first with
@@ -496,18 +494,9 @@ let job ctx me =
 let make_ctx cfg plan compiled steps (p : partitioned) ~recover ~kernels ~trace =
   let n = p.nprocs in
   let ntiles = Array.length p.tiles in
-  if Array.length p.owners <> ntiles then
-    invalid_arg "Resilient: owners/tiles length mismatch";
-  Array.iter
-    (fun o -> if o < 0 || o >= n then invalid_arg "Resilient: owner out of range")
-    p.owners;
-  let queue_tiles =
-    let by = Array.make n [] in
-    for t = ntiles - 1 downto 0 do
-      by.(p.owners.(t)) <- t :: by.(p.owners.(t))
-    done;
-    Array.map Array.of_list by
-  in
+  Exec.check_work compiled ~nprocs:n
+    (Exec.Tiled { tiles = p.tiles; owners = p.owners });
+  let queue_tiles = Exec.tiles_by_owner ~nprocs:n p.owners in
   let storage = Exec.alloc compiled in
   let exec_tile =
     let runner =

@@ -33,8 +33,6 @@
     the final buffer of a completed job is bit-identical to a fault-free
     run whenever the nest is deterministic. *)
 
-open Matrixkit
-
 type policy =
   | Fail_fast  (** first failure fails the job; no recovery of any kind *)
   | Retry of { attempts : int; backoff_ms : int }
@@ -64,16 +62,9 @@ val default_config : config
 (** [Retry {attempts = 3; backoff_ms = 25}], 1000 ms deadline, 5 ms
     stall poll. *)
 
-type tile = Exec.tile =
-  | Box of Kernel.box
-      (** a rectangular tile as its inclusive per-axis bounds: run
-          through {!Kernel.run_box} when lowered, else interpreted by
-          scanning the box with one reused point *)
-  | Points of Ivec.t array  (** a ragged tile's iteration points, in order *)
-
 type partitioned = {
   nprocs : int;
-  tiles : tile array;
+  tiles : Exec.tile array;
   owners : int array;  (** tile id -> preferred domain, [< nprocs] *)
 }
 (** Tile-granular work: the unit of claiming, stealing, completion
@@ -104,7 +95,10 @@ val execute :
     with smaller counts when degrading).  With [kernels], box tiles run
     through {!Kernel}'s specialized strided loops (ragged tiles keep the
     point interpreter); recovery semantics are unchanged since the tile
-    stays the unit of completion.  Tiles whose accumulating writes may
+    stays the unit of completion.  A partition that does not fit its
+    pool or reaches outside the iteration space ({!Exec.check_work})
+    fails its attempt as a bad partition before any tile runs.  Tiles
+    whose accumulating writes may
     share an address run one at a time, so their read-modify-writes
     never race.  With [trace], workers record tile and
     re-execution spans, gate waits, steals, watchdog probes and fault

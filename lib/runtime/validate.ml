@@ -112,15 +112,7 @@ let buffers_equal a b =
         true
       with Exit -> false)
 
-let with_pool_opt pool nprocs f =
-  match pool with
-  | Some p ->
-      if Pool.size p <> nprocs then
-        invalid_arg "Validate: pool size <> assignment width";
-      f p
-  | None -> Pool.with_pool nprocs f
-
-let check_assignment ?pool ?(policy = "static") ?predicted_per_tile nest
+let check_assignment ?(policy = "static") ?predicted_per_tile nest
     (assignment : Scheduling.assignment) =
   let nprocs = Array.length assignment in
   if nprocs < 1 then invalid_arg "Validate: empty assignment";
@@ -142,22 +134,14 @@ let check_assignment ?pool ?(policy = "static") ?predicted_per_tile nest
       { Sim.default with Sim.seq_steps = Some 1 }
   in
   let sim_footprints = Sim.footprints sim in
-  with_pool_opt pool nprocs (fun pool ->
+  Pool.with_pool nprocs (fun pool ->
       let inst =
         Exec.measure pool compiled
           (Exec.static_of_assignment assignment)
-          ~steps:1 ~mode:Measure.Auto
+          ~steps:1 ~mode:Measure.Exact
       in
       let measured_footprints = inst.Exec.footprints in
-      let footprints_agree =
-        if inst.Exec.exact then measured_footprints = sim_footprints
-        else
-          Array.for_all2
-            (fun a b ->
-              let a = float_of_int a and b = float_of_int b in
-              Float.abs (a -. b) <= 0.02 *. Float.max 1.0 b)
-            measured_footprints sim_footprints
-      in
+      let footprints_agree = measured_footprints = sim_footprints in
       let values_match =
         if deterministic then
           Some (buffers_equal inst.Exec.buffer (Exec.sequential compiled ~steps:1))
@@ -180,10 +164,10 @@ let check_assignment ?pool ?(policy = "static") ?predicted_per_tile nest
         values_match;
       })
 
-let check_schedule ?pool (schedule : Codegen.schedule) =
+let check_schedule (schedule : Codegen.schedule) =
   let nest = schedule.Codegen.nest in
   let cost = Cost.of_nest nest in
-  check_assignment ?pool ~policy:"tiled"
+  check_assignment ~policy:"tiled"
     ~predicted_per_tile:(Cost.misses_per_tile cost schedule.Codegen.tile)
     nest
     (Scheduling.of_schedule schedule)

@@ -48,13 +48,11 @@ type verdict = {
       (** [Some] iff [deterministic]: the bit-exact comparison result *)
 }
 
-val check_schedule : ?pool:Pool.t -> Codegen.schedule -> verdict
-(** Validate the compile-time tiled assignment of a schedule.  A pool
-    sized to the schedule's processor count is created (and shut down)
-    here unless one is supplied. *)
+val check_schedule : Codegen.schedule -> verdict
+(** Validate the compile-time tiled assignment of a schedule on a pool
+    of the schedule's processor count. *)
 
 val check_assignment :
-  ?pool:Pool.t ->
   ?policy:string ->
   ?predicted_per_tile:int ->
   Nest.t ->

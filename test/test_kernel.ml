@@ -269,7 +269,6 @@ let test_driver_kernels_agree_with_interpreter () =
               Driver.default_exec_config with
               Driver.kernels;
               repeats = 1;
-              footprint = Runtime.Measure.Exact;
             }
           a
       in

@@ -103,6 +103,23 @@ let test_nest_pp () =
   checkb "mentions Doall" true (contains s "Doall (i, 1, 10)");
   checkb "statement form" true (contains s "A[i, j] = B[i+j, i-j]")
 
+(* [Nest.pp] lays the nest out as the cuts of its own vertical box: an
+   enclosing box keeps its layout (here, its indentation), and what
+   follows the nest starts on the next line. *)
+let test_nest_pp_keeps_enclosing_box () =
+  let n = simple_nest () in
+  let nest_lines =
+    String.split_on_char '\n' (String.trim (Nest.to_string n))
+  in
+  Alcotest.(check (list string))
+    "nest lines, then after" (nest_lines @ [ "after" ])
+    (String.split_on_char '\n' (Format.asprintf "@[<v>%a@,after@]" Nest.pp n));
+  Alcotest.(check (list string))
+    "indented by the enclosing box"
+    (("before" :: List.map (fun l -> "  " ^ l) nest_lines) @ [ "  after" ])
+    (String.split_on_char '\n'
+       (Format.asprintf "@[<v 2>before@,%a@,after@]" Nest.pp n))
+
 let test_array_extent_hints () =
   let n = simple_nest () in
   let hints = Nest.array_extent_hints n in
@@ -389,6 +406,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_nest_basics;
           Alcotest.test_case "validation" `Quick test_nest_validation;
           Alcotest.test_case "pretty printing" `Quick test_nest_pp;
+          Alcotest.test_case "pretty printing keeps enclosing box" `Quick
+            test_nest_pp_keeps_enclosing_box;
           Alcotest.test_case "extent hints" `Quick test_array_extent_hints;
         ] );
       ( "dsl",

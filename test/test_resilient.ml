@@ -229,6 +229,41 @@ let test_wildcard_sites_fire_once_across_degrades () =
     (fun s -> checkb "site indexes the plan" true (s >= 0 && s < 4))
     sites
 
+(* Tile loops are unchecked, so a partition reaching outside the
+   iteration space must fail its attempt before any tile runs - on the
+   interpreter as on the kernels - instead of storing past the
+   operands. *)
+let test_out_of_space_partition_fails () =
+  let nest = Programs.stencil5 ~n:8 () in
+  let compiled = Runtime.Exec.compile nest in
+  let resilience =
+    { Resilient.default_config with policy = Resilient.Fail_fast }
+  in
+  List.iter
+    (fun (what, tile) ->
+      List.iter
+        (fun kernels ->
+          let partition ~nprocs =
+            { Resilient.nprocs; tiles = [| tile |]; owners = [| 0 |] }
+          in
+          let report, _ =
+            Resilient.execute ~config:resilience ~kernels ~compiled ~steps:1
+              ~partition ~nprocs:1 ()
+          in
+          let name = Printf.sprintf "%s, kernels %b" what kernels in
+          checkb (name ^ ": not completed") false report.Report.completed;
+          match report.Report.attempts with
+          | [ { Report.outcome = Report.Failed reason; _ } ] ->
+              checkb (name ^ ": a bad partition") true
+                (String.length reason >= 13
+                && String.sub reason 0 13 = "bad partition")
+          | _ -> Alcotest.failf "%s: expected one failed attempt" name)
+        [ false; true ])
+    [
+      ("box", Runtime.Exec.Box [| (1, 1); (1, 300000) |]);
+      ("points", Runtime.Exec.Points [| [| 1; 1 |]; [| 300000; 1 |] |]);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Report serialization                                                *)
 (* ------------------------------------------------------------------ *)
@@ -291,6 +326,8 @@ let () =
             test_degrade_to_sequential;
           Alcotest.test_case "wildcard sites fire once across degrades" `Quick
             test_wildcard_sites_fire_once_across_degrades;
+          Alcotest.test_case "out-of-space partition fails" `Quick
+            test_out_of_space_partition_fails;
         ] );
       ( "report",
         [

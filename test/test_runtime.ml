@@ -344,27 +344,150 @@ let test_dynamic_policies_execute_everything () =
   let nest = Programs.example2 ~n:40 () in
   let trip = Nest.iterations nest in
   let a = Driver.analyze ~nprocs:4 nest in
-  let run policy =
+  let run ~kernels policy =
     Driver.execute
-      ~config:{ Driver.default_exec_config with policy; repeats = 1 }
+      ~config:{ Driver.default_exec_config with policy; repeats = 1; kernels }
       a
   in
   (* Whatever the schedule, the union of touched elements is the same
      set - only its distribution over domains changes. *)
-  let tiled_union = (run Driver.Tiled).Runtime.Measure.distinct_total in
+  let tiled_union =
+    (run ~kernels:false Driver.Tiled).Runtime.Measure.distinct_total
+  in
   List.iter
-    (fun policy ->
-      let r = run policy in
-      let executed =
-        Array.fold_left
-          (fun acc (d : Runtime.Measure.domain_stat) -> acc + d.iterations)
-          0 r.Runtime.Measure.per_domain
+    (fun kernels ->
+      List.iter
+        (fun policy ->
+          let r = run ~kernels policy in
+          let executed =
+            Array.fold_left
+              (fun acc (d : Runtime.Measure.domain_stat) -> acc + d.iterations)
+              0 r.Runtime.Measure.per_domain
+          in
+          let what =
+            Printf.sprintf "%s, kernels %b" r.Runtime.Measure.policy kernels
+          in
+          check (what ^ ": every iteration executed exactly once") trip executed;
+          check (what ^ ": union footprint matches the tiled run") tiled_union
+            r.Runtime.Measure.distinct_total)
+        [ Driver.Cyclic; Driver.Block_cyclic 7; Driver.Guided;
+          Driver.Work_steal 5 ])
+    [ false; true ]
+
+(* On a nest whose values do not depend on the iteration order, every
+   self-scheduled claim unit - sub-boxes of the iteration space, ranges
+   of the tile sequences - leaves the operands bit-identical to the
+   sequential run, on the interpreter and on the kernels. *)
+let test_claimed_ranges_match_sequential () =
+  List.iter
+    (fun nest ->
+      let nprocs = 3 in
+      let a = Driver.analyze ~nprocs nest in
+      checkb "deterministic nest" true
+        (Driver.validate a).Runtime.Validate.deterministic;
+      let c = Runtime.Exec.compile nest in
+      let steps = Runtime.Exec.steps_of_nest nest in
+      let oracle = Runtime.Exec.sequential c ~steps in
+      let part = Runtime.Resilient.tiles_of_schedule (Driver.schedule a) in
+      let tiles = part.Runtime.Resilient.tiles
+      and owners = part.Runtime.Resilient.owners in
+      let works =
+        [
+          ("cyclic", Runtime.Exec.Dynamic { chunk = (fun ~remaining:_ -> 1) });
+          ("block 5", Runtime.Exec.Dynamic { chunk = (fun ~remaining:_ -> 5) });
+          ( "guided",
+            Runtime.Exec.Dynamic
+              { chunk = (fun ~remaining -> (remaining + nprocs - 1) / nprocs) }
+          );
+          ("steal 1", Runtime.Exec.Steal { tiles; owners; chunk = 1 });
+          ("steal 7", Runtime.Exec.Steal { tiles; owners; chunk = 7 });
+        ]
       in
-      check "every iteration executed exactly once" trip executed;
-      check "union footprint matches the tiled run" tiled_union
-        r.Runtime.Measure.distinct_total)
-    [ Driver.Cyclic; Driver.Block_cyclic 7; Driver.Guided;
-      Driver.Work_steal 5 ]
+      let runners =
+        [
+          ("interpreter", None);
+          ("kernels", Some (Runtime.Kernel.run_tile (Runtime.Kernel.plan c)));
+        ]
+      in
+      Runtime.Pool.with_pool nprocs (fun pool ->
+          List.iter
+            (fun (w, work) ->
+              List.iter
+                (fun (r, runner) ->
+                  let storage = Runtime.Exec.alloc c in
+                  Runtime.Exec.one_pass ?runner pool c storage work ~steps
+                    ~seconds:(Array.make nprocs 0.0)
+                    ~iterations:(Array.make nprocs 0);
+                  checkb
+                    (Printf.sprintf "%s: %s on the %s = sequential"
+                       nest.Nest.name w r)
+                    true
+                    (Array.for_all2
+                       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+                       storage oracle))
+                runners)
+            works))
+    [ Programs.example2 ~n:24 (); Programs.stencil5 ~n:13 ~steps:2 () ]
+
+(* [Exec.iter_range]: positions [lo, hi) of a tile sequence, cut into
+   sub-tiles, are exactly those positions of the sequence's point
+   order, and a range of one box is at most [2d - 1] non-empty boxes. *)
+let gen_box d =
+  QCheck2.Gen.(
+    array_repeat d
+      (pair (int_range (-3) 3) (frequency [ (1, return 1); (2, int_range 1 4) ]))
+    >|= Array.map (fun (lo, extent) -> (lo, lo + extent - 1)))
+
+let points_of tile =
+  let acc = ref [] in
+  Runtime.Exec.iter_tile tile (fun p -> acc := Array.copy p :: !acc);
+  List.rev !acc
+
+let gen_range total =
+  QCheck2.Gen.(
+    int_range 0 total >>= fun lo ->
+    int_range lo total >|= fun hi -> (lo, hi))
+
+let prop_range_is_sequence_slice =
+  QCheck2.Test.make ~name:"iter_range = slice of the point sequence"
+    ~count:500
+    QCheck2.Gen.(
+      int_range 1 3 >>= fun d ->
+      list_size (int_range 1 3)
+        (pair bool (gen_box d)
+        >|= fun (ragged, b) ->
+        if ragged then
+          Runtime.Exec.Points
+            (Array.of_list (List.rev (points_of (Runtime.Exec.Box b))))
+        else Runtime.Exec.Box b)
+      >>= fun tiles ->
+      let tiles = Array.of_list tiles in
+      let total =
+        Array.fold_left (fun n t -> n + List.length (points_of t)) 0 tiles
+      in
+      gen_range total >|= fun range -> (tiles, range))
+    (fun (tiles, (lo, hi)) ->
+      let all = Array.of_list (List.concat_map points_of (Array.to_list tiles)) in
+      let got = ref [] in
+      Runtime.Exec.iter_range tiles ~lo ~hi (fun t ->
+          got := List.rev_append (points_of t) !got);
+      List.rev !got = Array.to_list (Array.sub all lo (hi - lo)))
+
+let prop_box_range_is_few_boxes =
+  QCheck2.Test.make ~name:"a box range is at most 2d-1 non-empty boxes"
+    ~count:500
+    QCheck2.Gen.(
+      int_range 1 3 >>= fun d ->
+      gen_box d >>= fun b ->
+      gen_range (Runtime.Exec.box_volume b) >|= fun range -> (d, b, range))
+    (fun (d, b, (lo, hi)) ->
+      let count = ref 0 and non_empty_boxes = ref true in
+      Runtime.Exec.iter_range [| Runtime.Exec.Box b |] ~lo ~hi (function
+        | Runtime.Exec.Box sub ->
+            incr count;
+            if Runtime.Exec.box_volume sub = 0 then non_empty_boxes := false
+        | Runtime.Exec.Points _ -> non_empty_boxes := false);
+      !count <= (2 * d) - 1 && !non_empty_boxes)
 
 (* The interpreter's loads and stores are unchecked, so work reaching
    outside the iteration space must be refused before it runs: a tile
@@ -399,11 +522,10 @@ let test_out_of_space_work_rejected () =
           ("points tile", tiled (Exec.Points [| [| 3; 0 |] |]));
           ( "static point",
             Exec.static_of_assignment [| [ [| 1; 1 |]; [| 9; 1 |] ] |] );
-          ( "dynamic point",
-            Exec.Dynamic
-              { points = [| [| 1; 400 |] |]; chunk = (fun ~remaining:_ -> 1) } );
-          ( "steal point",
-            Exec.Steal { queues = [| [| [| -5; 2 |] |] |]; chunk = 1 } );
+          ( "steal tile",
+            Exec.Steal
+              { tiles = [| Exec.Points [| [| -5; 2 |] |] |]; owners = [| 0 |];
+                chunk = 1 } );
           ("short point", Exec.static_of_assignment [| [ [| 1 |] ] |]);
         ];
       let r =
@@ -590,11 +712,15 @@ let () =
             test_reduction_contention_is_reported;
           Alcotest.test_case "dynamic policies execute everything" `Quick
             test_dynamic_policies_execute_everything;
+          Alcotest.test_case "claimed ranges = sequential" `Quick
+            test_claimed_ranges_match_sequential;
           Alcotest.test_case "out-of-space work rejected" `Quick
             test_out_of_space_work_rejected;
         ] );
       ( "tiles",
         [
+          QCheck_alcotest.to_alcotest prop_range_is_sequence_slice;
+          QCheck_alcotest.to_alcotest prop_box_range_is_few_boxes;
           Alcotest.test_case "parallelepiped grouping = reference" `Quick
             test_pped_tiles_match_reference;
           Alcotest.test_case "ragged-tile footprints = measure" `Quick
