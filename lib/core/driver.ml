@@ -82,11 +82,13 @@ let execute ?(config = default_exec_config) ?tile a =
   let work, predicted =
     match config.policy with
     | Tiled ->
+        (* The busiest domain's tile count times one whole tile's misses;
+           a parallelepiped's clipped boundary tiles make it a bound. *)
         let tiles, owners = tiled () in
         let per_tile = Cost.misses_per_tile a.cost sched.Codegen.tile in
-        let tiles_per_proc =
-          Intmath.Int_math.ceil_div (Array.length tiles) a.nprocs
-        in
+        let owned = Array.make a.nprocs 0 in
+        Array.iter (fun p -> owned.(p) <- owned.(p) + 1) owners;
+        let tiles_per_proc = Array.fold_left Int.max 0 owned in
         (Runtime.Exec.Tiled { tiles; owners }, Some (per_tile * tiles_per_proc))
     | Work_steal chunk ->
         let tiles, owners = tiled () in
@@ -120,7 +122,10 @@ let execute ?(config = default_exec_config) ?tile a =
   Runtime.Measure.report ~name:nest.Nest.name ~policy ~steps
     ~repeats:config.repeats
     ~total_elements:(Runtime.Exec.total_elements compiled)
-    ?predicted_per_domain:predicted raw
+    ?predicted_per_domain:predicted
+    ~prediction_is_bound:
+      (match sched.Codegen.tile with Tile.Pped _ -> true | Tile.Rect _ -> false)
+    raw
 
 let execute_resilient ?(config = default_exec_config)
     ?(resilience = Runtime.Resilient.default_config) ?plan ?tile a =

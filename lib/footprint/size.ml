@@ -350,16 +350,13 @@ let pped_terms_symbolic ~nesting ~g ~spread =
   Pmat.det lg
   :: List.init nesting (fun i -> Pmat.det (Pmat.replace_row lg i a_row))
 
-(* Theorem 2 in floats, split so that the numerical optimizer reduces
-   each class once per call and evaluates it at many [L] without
-   allocating matrices. *)
+(* Theorem 2 in floats: the class data that does not depend on [L],
+   for the optimizer's prepared evaluator. *)
 type pped_prep = {
   index : int;
   g1 : float array array;
   a_row : float array;
 }
-
-type pped_scratch = { lg : float array array; work : float array array }
 
 let pped_prepare ~g ~spread =
   let g1, spread_red = reduced_for_pped ~g ~spread in
@@ -372,12 +369,8 @@ let pped_prepare ~g ~spread =
     a_row = Array.map float_of_int spread_red;
   }
 
-let pped_index p = p.index
-
-let pped_scratch n =
-  { lg = Array.make_matrix n n 0.0; work = Array.make_matrix n n 0.0 }
-
-let float_det_in_place a =
+let float_det a =
+  let a = Array.map Array.copy a in
   let n = Array.length a in
   let det = ref 1.0 in
   (try
@@ -408,35 +401,21 @@ let float_det_in_place a =
    with Exit -> ());
   !det
 
-let float_det a = float_det_in_place (Array.map Array.copy a)
-
-(* |det| of [lg] with row [r] replaced by [a_row] ([r = n]: no row
-   replaced), eliminated in [work]. *)
-let abs_det_replacing ~n ~work ~lg ~a_row r =
-  for i = 0 to n - 1 do
-    Array.blit (if i = r then a_row else lg.(i)) 0 work.(i) 0 n
-  done;
-  abs_float (float_det_in_place work)
-
-let pped_eval s p ~l =
-  let n = Array.length p.a_row in
-  let lg = s.lg in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let acc = ref 0.0 in
-      for k = 0 to n - 1 do
-        acc := !acc +. (l.(i).(k) *. p.g1.(k).(j))
-      done;
-      lg.(i).(j) <- !acc
-    done
-  done;
-  let work = s.work and a_row = p.a_row in
-  let acc = ref (abs_det_replacing ~n ~work ~lg ~a_row n) in
-  for i = 0 to n - 1 do
-    acc := !acc +. abs_det_replacing ~n ~work ~lg ~a_row i
-  done;
-  !acc
-
 let pped_cumulative_float ~l ~g ~spread =
   let p = pped_prepare ~g ~spread in
-  pped_eval (pped_scratch (Array.length p.a_row)) p ~l
+  let n = Array.length p.a_row in
+  let lg =
+    Array.init n (fun i ->
+        Array.init n (fun j ->
+            let acc = ref 0.0 in
+            for k = 0 to n - 1 do
+              acc := !acc +. (l.(i).(k) *. p.g1.(k).(j))
+            done;
+            !acc))
+  in
+  let replacing r = Array.init n (fun i -> if i = r then p.a_row else lg.(i)) in
+  let acc = ref (abs_float (float_det lg)) in
+  for i = 0 to n - 1 do
+    acc := !acc +. abs_float (float_det (replacing i))
+  done;
+  !acc

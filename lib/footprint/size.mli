@@ -99,44 +99,34 @@ val pped_cumulative : l:Qmat.t -> g:Imat.t -> spread:Ivec.t -> Rat.t
 
 val pped_cumulative_float :
   l:float array array -> g:Imat.t -> spread:Ivec.t -> float
-(** Float variant of {!pped_cumulative}: {!pped_prepare} followed by one
-    {!pped_eval} on a fresh scratch. *)
+(** Float variant of {!pped_cumulative}: [LG'] from {!pped_prepare}'s
+    [G'] (each entry summed from [0.0]), then [n + 1] allocating
+    {!float_det}s.  The slow reference for the parallelepiped
+    optimizer's prepared evaluator, which performs the same float
+    operations in the same order. *)
 
 (** {2 Prepared float engine}
 
     The numerical tile optimizer evaluates Theorem 2 at hundreds of
     thousands of real [L] for the same classes.  Everything that does not
     depend on [L] - the reduction, the lattice index, [G'] and the spread
-    row as floats - is computed once by {!pped_prepare}.  {!pped_eval}
-    then forms [LG'] and its [n + 1] determinants in a caller-owned
-    {!pped_scratch}; it allocates no arrays, only its boxed float
-    result.  The float operations and their order are those of
-    {!pped_cumulative_float}, so results are bit-identical however the
-    work is split. *)
+    row as floats - is computed once by {!pped_prepare}; the optimizer
+    copies it into flat arrays and evaluates [LG'] and its [n + 1]
+    determinants itself, with {!float_det}'s operations in
+    {!float_det}'s order, so its results are bit-identical to
+    {!pped_cumulative_float}. *)
 
-type pped_prep
-(** One class, prepared: [G'] (column-reduced, [n x n]) and the reduced
-    spread row as floats, and the lattice index. *)
+type pped_prep = private {
+  index : int;  (** [|det G'|]: the index of the reference's image lattice *)
+  g1 : float array array;  (** [G'] (column-reduced, [n x n]) *)
+  a_row : float array;  (** the reduced spread row *)
+}
+(** One class, prepared. *)
 
 val pped_prepare : g:Imat.t -> spread:Ivec.t -> pped_prep
 (** Raises {!Unsupported} unless rank(G) = nesting (the rows of [G]); a
     constant reference (zero [G]) has rank 0.  No determinant is taken
     before this check. *)
-
-val pped_index : pped_prep -> int
-(** [|det G'|]: the index of the lattice the reference's image lies on. *)
-
-type pped_scratch
-(** Work space for {!pped_eval}: two [n x n] float matrices. *)
-
-val pped_scratch : int -> pped_scratch
-(** [pped_scratch n]: scratch for nesting [n].  Not shared between
-    domains: each concurrent caller makes its own. *)
-
-val pped_eval : pped_scratch -> pped_prep -> l:float array array -> float
-(** Theorem 2 at the real [n x n] tile matrix [l]:
-    [|det LG'| + sum_i |det LG'_{i->spread}|].  Overwrites the scratch;
-    reads [l] only. *)
 
 val pped_terms_symbolic :
   nesting:int -> g:Imat.t -> spread:Ivec.t -> Mpoly.t list
@@ -149,12 +139,10 @@ val pped_terms_symbolic :
     other parallelepiped engines. *)
 
 val float_det : float array array -> float
-(** Determinant by partial-pivot LU: a copy followed by
-    {!float_det_in_place}. *)
-
-val float_det_in_place : float array array -> float
-(** {!float_det} without the copy, for the optimizer: eliminates in its
-    argument, whose entries and row order are left undefined. *)
+(** Determinant by partial-pivot elimination on a copy: the pivot is the
+    first entry of largest magnitude in its column (strict [>]), a pivot
+    below [1e-12] in magnitude makes the result [0.0], and each row swap
+    negates the running product, which starts at [1.0]. *)
 
 (** {1 Reduction diagnostics} *)
 

@@ -14,11 +14,20 @@
     from unit skews of it.  The continuous solution is then rounded to an
     integer [L] suitable for code generation.
 
-    Each call prepares every class once ({!Footprint.Size.pped_prepare}:
-    reduction, rank check, lattice index, [G'] and spread as floats) and
-    evaluates the objective in scratch buffers it owns, so the ~10{^5}
-    evaluations of a depth-3 search allocate no arrays and concurrent
-    calls share no state. *)
+    Each call prepares the objective once: every class's reduction, rank
+    check and lattice index ({!Footprint.Size.pped_prepare}), then [G'],
+    the spread rows, the weights, the extents and the target volume in
+    flat float arrays.  A probe of the search renormalizes [L], forms
+    [LG'] and takes its [n + 1] determinants - for nesting 2 and 3 as
+    straight-line code on unboxed floats, for any other nesting in one
+    flat loop - with exactly {!Footprint.Size.float_det}'s float
+    operations in its order, so decisions are bit-identical to the
+    allocating reference.  The ~10{^5} probes of a depth-3 search
+    allocate no arrays and no closures, and concurrent calls share no
+    state.
+
+    A rounded [L] that is a positive diagonal is returned as the
+    rectangular tile of that diagonal, so it takes the box paths. *)
 
 open Matrixkit
 
@@ -33,9 +42,17 @@ type result = {
 }
 
 val objective : Cost.t -> float array array -> float
-(** Normalized Theorem 2 objective at a real [L]: the sum over classes
-    of [sync_weight * Size.pped_cumulative_float / |det G'|].  [infinity]
+(** Normalized Theorem 2 objective at a real [L], through the prepared
+    evaluator: the sum over classes of
+    [sync_weight * Size.pped_cumulative_float / |det G'|].  [infinity]
     when some class is outside the parallelepiped engine's domain. *)
+
+val search_objective : Cost.t -> nprocs:int -> float array array -> float
+(** What the search minimizes at a real [L]: [L] scaled to
+    [|det L| = iterations / nprocs], then {!objective} times
+    [1 + 100 * penalty], where the penalty sums [(ratio - 1)^2] over the
+    dimensions whose bounding-box edge exceeds the extent by [ratio > 1].
+    [infinity] when [|det L| < 1e-9], or when {!objective} is. *)
 
 val optimize : Cost.t -> nprocs:int -> result option
 (** [None] when any class has rank(G) < nesting, including a constant

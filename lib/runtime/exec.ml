@@ -359,18 +359,18 @@ let tiles_by_owner ~nprocs owners =
   Array.map Array.of_list by
 
 (* Self-scheduled work as tile sequences (the iteration space; each
-   owner's tiles), [claim p k] passing domain [p]'s next range to
-   [k seq lo hi] ([false] when none is left), and a per-step [reset]. *)
+   owner's tiles), [claim p k] domain [p]'s claimer: each call passes its
+   next range to [k seq lo hi] ([false] when none is left); and a
+   per-step [reset]. *)
 let claims ?(trace = Trace.disabled) ~nprocs c = function
-  | Tiled _ -> ([||], (fun _ _ -> false), ignore)
+  | Tiled _ -> ([||], (fun _ _ () -> false), ignore)
   | Dynamic { chunk } ->
       let bounds = Nest.bounds c.nest in
       let counter = Pool.Counter.create ~total:(box_volume bounds) in
       ( [| [| Box bounds |] |],
         (fun _ k ->
-          match Pool.Counter.next counter ~chunk with
-          | Some (lo, hi) -> k 0 lo hi; true
-          | None -> false),
+          let k = k 0 in
+          fun () -> Pool.Counter.next counter ~chunk k),
         fun () -> Pool.Counter.reset counter )
   | Steal { tiles; owners; chunk } ->
       let seqs =
@@ -381,7 +381,7 @@ let claims ?(trace = Trace.disabled) ~nprocs c = function
           ~lengths:
             (Array.map (Array.fold_left (fun n t -> n + tile_volume t) 0) seqs)
       in
-      let claim p k =
+      let claim p k () =
         match Pool.Deques.pop deques ~me:p ~chunk with
         | Some (owner, lo, hi) ->
             if owner <> p then begin
@@ -419,6 +419,7 @@ let step_loop ?(trace = Trace.disabled) pool c work ~steps ~run_tile ~seconds
         Trace.end_span trace p;
         mine := !mine + (hi - lo)
       in
+      let claim = claim p run_range in
       let yielded = ref 0 in
       let t0 = Mclock.now () in
       for step = 1 to steps do
@@ -436,7 +437,7 @@ let step_loop ?(trace = Trace.disabled) pool c work ~steps ~run_tile ~seconds
           Trace.end_span trace p;
           Trace.incr trace p Trace.Tiles_run
         done;
-        while claim p run_range do
+        while claim () do
           ()
         done;
         Trace.end_span trace p;

@@ -451,9 +451,20 @@ let boxes_of_schedule sched =
     ranges;
   Array.map (fun l -> Array.of_list (List.rev l)) by
 
+(* A one-point box takes the interpreter's body: it costs less than the
+   corner addresses and the row recursion of [run_box]. *)
 let run_tile p storage =
   let box = run_box p storage and interpret = Exec.run_tile p.compiled storage in
-  function Exec.Box b -> box b | Exec.Points _ as t -> interpret t
+  let body = Exec.exec_point p.compiled storage
+  and point = Array.make p.nesting 0 in
+  function
+  | Exec.Box b when Array.length b = p.nesting && Exec.box_volume b = 1 ->
+      for k = 0 to p.nesting - 1 do
+        point.(k) <- fst b.(k)
+      done;
+      body point
+  | Exec.Box b -> box b
+  | Exec.Points _ as t -> interpret t
 
 let one_pass ?trace pool p storage ~boxes ~steps ~seconds ~iterations =
   let owned =

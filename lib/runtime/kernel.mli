@@ -77,8 +77,10 @@ val boxes_of_schedule : Partition.Codegen.schedule -> box array array
     [p]'s work for one step. *)
 
 val run_tile : plan -> Exec.runner
-(** The kernel runner: a [Box] tile through {!run_box}, a [Points] tile
-    through the interpreter ({!Exec.run_tile}). *)
+(** The kernel runner: a [Box] tile through {!run_box}, a one-point
+    [Box] through {!Exec.exec_point} and a [Points] tile through the
+    interpreter ({!Exec.run_tile}).  Like the interpreter, it relies on
+    {!Exec.check_work} for the boxes it interprets. *)
 
 val one_pass :
   ?trace:Trace.t ->

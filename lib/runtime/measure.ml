@@ -206,6 +206,7 @@ type report = {
   repeats : int;
   total_elements : int;
   predicted_per_domain : int option;
+  prediction_is_bound : bool;
   per_domain : domain_stat array;
   wall_seconds : float;
   distinct_total : int;
@@ -214,7 +215,7 @@ type report = {
 }
 
 let report ~name ~policy ~steps ~repeats ~total_elements ?predicted_per_domain
-    (raw : raw) =
+    ?(prediction_is_bound = false) (raw : raw) =
   let nprocs = Array.length raw.seconds in
   {
     name;
@@ -224,6 +225,7 @@ let report ~name ~policy ~steps ~repeats ~total_elements ?predicted_per_domain
     repeats;
     total_elements;
     predicted_per_domain;
+    prediction_is_bound;
     per_domain =
       Array.init nprocs (fun p ->
           {
@@ -260,7 +262,9 @@ let pp_report ppf r =
   (match r.predicted_per_domain with
   | Some predicted ->
       Format.fprintf ppf
-        "model predicted footprint/domain: %d; measured max: %d (%.2fx)@,"
+        "model %s footprint/domain: %d; measured max: %d (%.2fx)@,"
+        (if r.prediction_is_bound then "whole-tile upper bound on"
+         else "predicted")
         predicted (max_footprint r)
         (if predicted = 0 then Float.nan
          else float_of_int (max_footprint r) /. float_of_int predicted)

@@ -80,6 +80,10 @@ type report = {
   predicted_per_domain : int option;
       (** Theorem 2/4 cumulative-footprint prediction, when the policy
           is a compile-time tile the model can predict *)
+  prediction_is_bound : bool;
+      (** the prediction counts every tile a domain owns as a whole
+          tile, which a parallelepiped partition clips at the space's
+          boundary: an upper bound, not an estimate *)
   per_domain : domain_stat array;
   wall_seconds : float;
   distinct_total : int;
@@ -94,6 +98,7 @@ val report :
   repeats:int ->
   total_elements:int ->
   ?predicted_per_domain:int ->
+  ?prediction_is_bound:bool ->
   raw ->
   report
 

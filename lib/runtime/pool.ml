@@ -159,14 +159,17 @@ module Counter = struct
     if total < 0 then invalid_arg "Pool.Counter.create: total < 0";
     { total; pos = Atomic.make 0 }
 
-  let rec next c ~chunk =
+  let rec next c ~chunk k =
     let pos = Atomic.get c.pos in
-    if pos >= c.total then None
+    if pos >= c.total then false
     else
       let remaining = c.total - pos in
-      let k = min remaining (max 1 (chunk ~remaining)) in
-      if Atomic.compare_and_set c.pos pos (pos + k) then Some (pos, pos + k)
-      else next c ~chunk
+      let n = Int.min remaining (Int.max 1 (chunk ~remaining)) in
+      if Atomic.compare_and_set c.pos pos (pos + n) then begin
+        k pos (pos + n);
+        true
+      end
+      else next c ~chunk k
 
   let reset c = Atomic.set c.pos 0
 end

@@ -75,10 +75,11 @@ module Counter : sig
 
   val create : total:int -> c
 
-  val next : c -> chunk:(remaining:int -> int) -> (int * int) option
-  (** Atomically grab the next [\[lo, hi)] range, where
-      [hi - lo = max 1 (chunk ~remaining)] clipped to [total].  [None]
-      when the space is exhausted. *)
+  val next : c -> chunk:(remaining:int -> int) -> (int -> int -> unit) -> bool
+  (** [next c ~chunk k] atomically grabs the next [\[lo, hi)] range,
+      where [hi - lo = max 1 (chunk ~remaining)] clipped to [total], and
+      passes it to [k lo hi]: [true].  [false], without calling [k], when
+      the space is exhausted.  A grab allocates nothing. *)
 
   val reset : c -> unit
   (** Rewind to 0 for the next sequential step (call from a single

@@ -358,6 +358,131 @@ let test_skewed_objective_bit_identical () =
         (ls (Nest.nesting nest)))
     nests
 
+(* The search's objective the slow way: renormalize with [Size.float_det],
+   evaluate with [reference_objective], weigh in the box penalty. *)
+let reference_probe (cost : Cost.t) ~nprocs l =
+  let nest = cost.Cost.nest in
+  let n = Nest.nesting nest in
+  let d = abs_float (Footprint.Size.float_det l) in
+  if d < 1e-9 then (infinity, false)
+  else
+    let volume =
+      float_of_int (Nest.iterations nest) /. float_of_int nprocs
+    in
+    let s = (volume /. d) ** (1.0 /. float_of_int n) in
+    let lr = Array.map (Array.map (fun x -> x *. s)) l in
+    let extents = Nest.extents nest in
+    let pen = ref 0.0 in
+    for k = 0 to n - 1 do
+      let bbox = ref 0.0 in
+      for i = 0 to n - 1 do
+        bbox := !bbox +. abs_float lr.(i).(k)
+      done;
+      let ratio = !bbox /. float_of_int extents.(k) in
+      if ratio > 1.0 then pen := !pen +. ((ratio -. 1.0) ** 2.0)
+    done;
+    (reference_objective cost lr *. (1.0 +. (100.0 *. !pen)), !pen > 0.0)
+
+(* A depth-4 nest, so the evaluator's generic path runs: two classes of
+   rank-4 references, one of them skewed. *)
+let depth4 () =
+  let open Dsl in
+  let i = var 0 and j = var 1 and k = var 2 and l = var 3 in
+  nest ~name:"depth4"
+    [ doall "i" 0 5; doall "j" 0 6; doall "k" 0 4; doall "l" 0 7 ]
+    [
+      write "A" [ i; j; k; l ];
+      read "B" [ i + j; j; k - l; l ];
+      read "B" [ i + j + int 1; j; k - l; l + int 2 ];
+      read "A" [ i; j + int 1; k; l ];
+    ]
+
+let test_skewed_probe_bit_identical () =
+  let rng = Random.State.make [| 13 |] in
+  let entry () = Random.State.float rng 80.0 -. 40.0 in
+  (* Generic and elongated matrices (the penalty is active), pivot
+     candidates of equal magnitude (the first one pivots), the zero and a
+     singular matrix, diagonals with |det| at and around the 1e-9
+     cutoff, and diagonals with a pivot at and around the 1e-12 cutoff. *)
+  let ls n =
+    let generic () =
+      Array.init n (fun _ -> Array.init n (fun _ -> entry ()))
+    in
+    let diag first rest =
+      Array.init n (fun i ->
+          Array.init n (fun j ->
+              if i <> j then 0.0 else if i = 0 then first else rest))
+    in
+    let elongated () =
+      let m = generic () in
+      m.(0).(0) <- 1e4;
+      m
+    in
+    let with_row1 f =
+      let m = generic () in
+      if n > 1 then m.(1) <- Array.map f m.(0);
+      m
+    in
+    let sign i = if i mod 2 = 0 then 1.0 else -1.0 in
+    (* Column 0 all of one magnitude. *)
+    let tie0 () =
+      let m = generic () in
+      Array.iteri (fun i row -> row.(0) <- sign i *. m.(0).(0)) m;
+      m
+    in
+    (* Below a dominant first row, zeros in column 0 and a tie in
+       column 1. *)
+    let tie1 () =
+      let m = generic () in
+      m.(0).(0) <- 100.0;
+      for i = 1 to n - 1 do
+        m.(i).(0) <- 0.0;
+        if n > 2 then m.(i).(1) <- -.sign i *. m.(1).(1)
+      done;
+      m
+    in
+    List.init 6 (fun _ -> generic ())
+    @ List.init 3 (fun _ -> tie0 ())
+    @ List.init 3 (fun _ -> tie1 ())
+    @ [
+        elongated ();
+        elongated ();
+        Array.make_matrix n n 0.0;
+        with_row1 (fun x -> 2.0 *. x);
+        with_row1 (fun x -> x +. 1e-13);
+      ]
+    @ List.map
+        (fun d -> diag d 1.0)
+        [ 1e-9; Float.pred 1e-9; Float.succ 1e-9; 0.9e-9; 1.1e-9 ]
+    @ List.map
+        (fun p -> diag p 1e6)
+        [ 1e-12; Float.pred 1e-12; Float.succ 1e-12 ]
+  in
+  let nests =
+    List.map (fun (_, nest) -> (nest, 4)) Loopart.Programs.all
+    @ [ (depth4 (), 3) ]
+    @ List.init 300 (fun id ->
+          let c = Proptest.Gen.generate ~seed:1 ~id in
+          (c.Proptest.Gen.nest, c.Proptest.Gen.nprocs))
+  in
+  let penalized = ref 0 and depth4_finite = ref 0 in
+  List.iter
+    (fun (nest, nprocs) ->
+      let cost = Cost.of_nest nest in
+      List.iter
+        (fun l ->
+          let want, pen = reference_probe cost ~nprocs l in
+          let got = Skewed.search_objective cost ~nprocs l in
+          if pen && want < infinity then incr penalized;
+          if Nest.nesting nest = 4 && want < infinity then incr depth4_finite;
+          if Int64.bits_of_float got <> Int64.bits_of_float want then
+            Alcotest.failf "%s: probe %h, reference %h" nest.Nest.name got
+              want)
+        (ls (Nest.nesting nest)))
+    nests;
+  checkb "the penalty is active on some probes" true (!penalized > 100);
+  checkb "the depth-4 nest reaches the generic path" true (!depth4_finite > 5)
+
 (* [Skewed.optimize] on the generator's seed-1 draw, ids 0..299, as
    decided by an engine that re-reduced every class at every evaluation:
    the digest of one line per case (L, and the bits of the three costs).
@@ -412,15 +537,57 @@ let test_skewed_decisions_pinned () =
     "digest of 182 decisions" pinned_digest
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* Every seed-1 case whose rounded L is a positive diagonal comes back as
+   the rectangle of that diagonal, which gives every point the owner the
+   parallelepiped would. *)
+let test_skewed_positive_diagonal_is_rect () =
+  let found = ref 0 in
+  for id = 0 to 299 do
+    let c = Proptest.Gen.generate ~seed:1 ~id in
+    let nest = c.Proptest.Gen.nest and nprocs = c.Proptest.Gen.nprocs in
+    match Skewed.optimize (Cost.of_nest nest) ~nprocs with
+    | None -> ()
+    | Some r ->
+        let l = r.Skewed.l in
+        let n = Imat.rows l in
+        let positive_diagonal =
+          List.for_all
+            (fun i ->
+              List.for_all
+                (fun j ->
+                  let v = Imat.get l i j in
+                  if i = j then v > 0 else v = 0)
+                (List.init n Fun.id))
+            (List.init n Fun.id)
+        in
+        if not positive_diagonal then
+          checkb (Printf.sprintf "case %d stays a parallelepiped" id) true
+            (Tile.equal r.Skewed.tile (Tile.pped l))
+        else begin
+          incr found;
+          let rect = Tile.rect (Array.init n (fun i -> Imat.get l i i)) in
+          checkb (Printf.sprintf "case %d is a rectangle" id) true
+            (Tile.equal r.Skewed.tile rect);
+          let own t = Codegen.owner (Codegen.make nest t ~nprocs) in
+          let by_rect = own rect and by_pped = own (Tile.pped l) in
+          Runtime.Exec.iter_box (Nest.bounds nest) (fun p ->
+              if by_rect p <> by_pped p then
+                Alcotest.failf "case %d: point owned by %d, not %d" id
+                  (by_rect p) (by_pped p))
+        end
+  done;
+  checkb (Printf.sprintf "%d positive-diagonal cases" !found) true (!found > 0)
+
 let test_skewed_allocation_bound () =
-  (* An evaluation allocates no arrays: what is left is boxed float
-     results, the per-call setup and the golden-section closures. *)
+  (* A probe allocates nothing but its boxed float result (2 words); the
+     rest is the per-call setup.  About 128 k words, bounded with 2x
+     headroom. *)
   let cost = Cost.of_nest (Loopart.Programs.example3 ()) in
   let before = Gc.minor_words () in
   let r = Skewed.optimize cost ~nprocs:10 in
   let words = Gc.minor_words () -. before in
   checkb "engine applies" true (r <> None);
-  checkb (Printf.sprintf "%.0f minor words" words) true (words < 6e6)
+  checkb (Printf.sprintf "%.0f minor words" words) true (words < 2.6e5)
 
 (* ------------------------------------------------------------------ *)
 (* Codegen                                                             *)
@@ -718,6 +885,10 @@ let () =
             test_skewed_objective_bit_identical;
           Alcotest.test_case "decisions pinned (seed 1)" `Quick
             test_skewed_decisions_pinned;
+          Alcotest.test_case "probe bit-identical to float_det reference"
+            `Quick test_skewed_probe_bit_identical;
+          Alcotest.test_case "positive diagonal L is a rectangle" `Quick
+            test_skewed_positive_diagonal_is_rect;
           Alcotest.test_case "allocation bound" `Quick
             test_skewed_allocation_bound;
         ] );

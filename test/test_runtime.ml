@@ -109,24 +109,43 @@ let test_with_pool_shuts_down_on_exception () =
 let test_counter_covers_range () =
   let c = Runtime.Pool.Counter.create ~total:100 in
   let seen = Array.make 100 0 in
-  let rec drain () =
-    match Runtime.Pool.Counter.next c ~chunk:(fun ~remaining ->
-              Intmath.Int_math.ceil_div remaining 4)
-    with
-    | None -> ()
-    | Some (lo, hi) ->
-        checkb "ordered" true (lo < hi && hi <= 100);
-        for i = lo to hi - 1 do
-          seen.(i) <- seen.(i) + 1
-        done;
-        drain ()
+  let grab lo hi =
+    checkb "ordered" true (lo < hi && hi <= 100);
+    for i = lo to hi - 1 do
+      seen.(i) <- seen.(i) + 1
+    done
   in
-  drain ();
+  while
+    Runtime.Pool.Counter.next c
+      ~chunk:(fun ~remaining -> Intmath.Int_math.ceil_div remaining 4)
+      grab
+  do
+    ()
+  done;
   Array.iter (fun s -> check "each index grabbed once" 1 s) seen;
   (* reset rewinds for the next sequential step *)
   Runtime.Pool.Counter.reset c;
   checkb "reset reopens the range" true
-    (Runtime.Pool.Counter.next c ~chunk:(fun ~remaining:_ -> 1) <> None)
+    (Runtime.Pool.Counter.next c ~chunk:(fun ~remaining:_ -> 1) (fun _ _ -> ()))
+
+(* Chunk-1 cyclic self-scheduling grabs once per iteration, so a grab
+   must not allocate: 100 k grabs stay under one minor word per 100. *)
+let test_counter_grab_allocates_nothing () =
+  let total = 100_000 in
+  let c = Runtime.Pool.Counter.create ~total in
+  let claimed = ref 0 in
+  let grab lo hi = claimed := !claimed + (hi - lo) in
+  let chunk ~remaining:_ = 1 in
+  let before = Gc.minor_words () in
+  while Runtime.Pool.Counter.next c ~chunk grab do
+    ()
+  done;
+  let words = Gc.minor_words () -. before in
+  check "every index claimed" total !claimed;
+  checkb
+    (Printf.sprintf "%.0f minor words for %d grabs" words total)
+    true
+    (words < float_of_int total /. 100.0)
 
 let test_deques_cover_and_steal () =
   let d = Runtime.Pool.Deques.create ~lengths:[| 10; 0; 6 |] in
@@ -685,6 +704,8 @@ let () =
             test_with_pool_shuts_down_on_exception;
           Alcotest.test_case "counter covers range" `Quick
             test_counter_covers_range;
+          Alcotest.test_case "counter grab allocates nothing" `Quick
+            test_counter_grab_allocates_nothing;
           Alcotest.test_case "deques cover and steal" `Quick
             test_deques_cover_and_steal;
         ] );
